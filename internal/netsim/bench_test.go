@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -48,4 +49,46 @@ func BenchmarkFabricDisjointPairs(b *testing.B) {
 			f.Transfer(2*i, 2*i+1, int64(16<<20)*int64(i+1), func() {})
 		}
 	})
+}
+
+// BenchmarkFabricSortShuffle has the shape of the §5.2 sort's shuffle at the
+// paper's cluster size: 20 machines keep 512 flows of staggered sizes in
+// flight, duplicate (src, dst) pairs included, and start a new flow whenever
+// one finishes. Every start and finish re-solves one component holding all
+// live flows, so the reported ns/rerate is the cost of that re-solve.
+func BenchmarkFabricSortShuffle(b *testing.B) {
+	const (
+		machines = 20
+		live     = 512
+		total    = 4 * live // transfers per iteration
+	)
+	b.ReportAllocs()
+	rerates := 0
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		f := NewFabric(eng, machines, 1.25e9)
+		rng := rand.New(rand.NewSource(1))
+		started := 0
+		var start func()
+		start = func() {
+			if started == total {
+				return
+			}
+			started++
+			src := rng.Intn(machines)
+			dst := rng.Intn(machines - 1)
+			if dst >= src {
+				dst++
+			}
+			f.Transfer(src, dst, int64(8+rng.Intn(57))<<20, start)
+			rerates++
+		}
+		for started < live {
+			start()
+		}
+		for eng.Step() {
+			rerates++ // every event is a completion, which rerates once
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rerates), "ns/rerate")
 }

@@ -11,6 +11,7 @@ package netsim
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/resource"
 	"repro/internal/sim"
@@ -51,6 +52,11 @@ func (n *NIC) EgressBW() float64 { return n.egressBW }
 func (n *NIC) IngressBW() float64 { return n.ingressBW }
 
 // Flow is an in-flight transfer between two machines.
+//
+// A *Flow returned by Transfer is a handle valid only until the flow's done
+// callback has run. The fabric then recycles the struct for a later
+// Transfer, so a handle kept past done may describe, or Cancel, another
+// flow.
 type Flow struct {
 	src, dst  int
 	remaining float64
@@ -59,8 +65,7 @@ type Flow struct {
 	done      func()
 	seq       uint64
 	active    bool
-	// transient water-filling state, valid only inside rerate.
-	frozen bool
+	// transient component-closure mark, valid only inside rerate.
 	inComp bool
 }
 
@@ -87,11 +92,26 @@ type Fabric struct {
 	// ingress link is n+i.
 	linkCap   []float64 // residual capacity per link during water-filling
 	linkCnt   []int     // unfrozen flows per link during water-filling
+	linkShare []float64 // linkCap/linkCnt at the start of a water-filling round
 	linkMark  []uint64  // epoch marks: linkMark[l] == markEpoch ⇒ l is in the component
 	markEpoch uint64
 	compLinks []int   // links in the current component, in discovery order
 	compFlows []*Flow // flows in the current component, in f.order order
 	finished  []*Flow // reusable scratch for complete()
+
+	// Water-filling scratch, indexed by a flow's position in compFlows.
+	flowSrc    []int32  // egress link
+	flowDst    []int32  // ingress link
+	flowFrozen []bool   // rate fixed in an earlier round or earlier this round
+	visit      []uint64 // bitset: flows still to test this round
+	// Per-link lists of component-flow indices, ascending: link l's list is
+	// linkFlows[linkOff[l]:linkEnd[l]]. Frozen entries are dropped lazily.
+	linkOff   []int
+	linkEnd   []int
+	linkFlows []int32
+	linkCand  []uint64 // linkCand[l] == candEpoch ⇒ l is a candidate this round
+	candEpoch uint64
+	liveLinks []int // component links that still carry unfrozen flows
 
 	// Control-plane ledger (control.go): zero-virtual-time message and byte
 	// counters, fabric-wide and per machine per direction.
@@ -129,6 +149,10 @@ func NewFabricBW(eng *sim.Engine, linkBWs []float64) *Fabric {
 	f.linkCap = make([]float64, 2*n)
 	f.linkCnt = make([]int, 2*n)
 	f.linkMark = make([]uint64, 2*n)
+	f.linkShare = make([]float64, 2*n)
+	f.linkOff = make([]int, 2*n)
+	f.linkEnd = make([]int, 2*n)
+	f.linkCand = make([]uint64, 2*n)
 	f.ctrlOut = make([]ControlStats, n)
 	f.ctrlIn = make([]ControlStats, n)
 	return f
@@ -175,6 +199,9 @@ func (f *Fabric) MinTransferLatency(bytes int64) sim.Duration {
 // Transfer starts a flow of the given size from machine src to machine dst;
 // done fires when the last byte arrives. Local transfers (src == dst) are
 // free: data never leaves the machine, so done fires on the next dispatch.
+//
+// The returned handle is valid only until done runs: once it has, the
+// struct returns to the fabric's pool and a later Transfer reuses it.
 func (f *Fabric) Transfer(src, dst int, bytes int64, done func()) *Flow {
 	if src < 0 || src >= len(f.nics) || dst < 0 || dst >= len(f.nics) {
 		panic("netsim: transfer endpoint out of range")
@@ -235,7 +262,9 @@ func (f *Fabric) SetLinkSpeed(i int, factor float64) {
 	f.rerateTouched()
 }
 
-// Cancel abandons an in-flight flow.
+// Cancel abandons an in-flight flow. fl must be a handle whose done has not
+// run: after done, Transfer may have reused the struct for another flow,
+// which Cancel would then abandon instead.
 func (f *Fabric) Cancel(fl *Flow) {
 	if !fl.active {
 		return
@@ -306,13 +335,22 @@ func (f *Fabric) touchFlow(fl *Flow) {
 // the changed links, and those are exactly the flows this solves for. Rates
 // of all other flows are left untouched, which is what makes a rerate cheap
 // when the fabric carries many unrelated transfers.
+//
+// Within the component, each water-filling round costs O(links + flows on
+// bottleneck links), not O(component flows): a link above the bottleneck
+// share at round start only rises further above it as flows freeze, since
+// (cap-share)/(cnt-1) > cap/cnt whenever share < cap/cnt, so no flow off the
+// bottleneck links can freeze that round. waterFill gives the details and
+// why the restriction leaves every rate bit-identical to a full scan.
 func (f *Fabric) rerateTouched() {
 	n := len(f.nics)
 	// Close the component: any flow on a marked link joins, and brings its
-	// other link with it. Pass-based to fixpoint; the final collection pass
-	// gathers component flows in f.order order, preserving the deterministic
-	// freeze order of the unrestricted algorithm.
-	for changed := true; changed; {
+	// other link with it. Pass-based to fixpoint, stopping early once every
+	// flow has joined, as it usually has in an all-to-all shuffle; the
+	// collection gathers component flows in f.order order, preserving the
+	// deterministic freeze order of the unrestricted algorithm.
+	members := 0
+	for changed := true; changed && members < len(f.order); {
 		changed = false
 		for _, fl := range f.order {
 			if fl.inComp {
@@ -320,6 +358,7 @@ func (f *Fabric) rerateTouched() {
 			}
 			if f.linkMark[fl.src] == f.markEpoch || f.linkMark[n+fl.dst] == f.markEpoch {
 				fl.inComp = true
+				members++
 				f.touchLink(fl.src)
 				f.touchLink(n + fl.dst)
 				changed = true
@@ -327,61 +366,17 @@ func (f *Fabric) rerateTouched() {
 		}
 	}
 	f.compFlows = f.compFlows[:0]
-	for _, fl := range f.order {
-		if fl.inComp {
-			f.compFlows = append(f.compFlows, fl)
+	if members == len(f.order) {
+		f.compFlows = append(f.compFlows, f.order...)
+	} else {
+		for _, fl := range f.order {
+			if fl.inComp {
+				f.compFlows = append(f.compFlows, fl)
+			}
 		}
 	}
 
-	// Water-fill over the component only. Residual capacity per link; links
-	// are (machine, direction).
-	for _, l := range f.compLinks {
-		if l < n {
-			f.linkCap[l] = f.nics[l].egressBW
-		} else {
-			f.linkCap[l] = f.nics[l-n].ingressBW
-		}
-		f.linkCnt[l] = 0
-	}
-	for _, fl := range f.compFlows {
-		fl.rate = 0
-		f.linkCnt[fl.src]++
-		f.linkCnt[n+fl.dst]++
-	}
-	unfrozen := len(f.compFlows)
-	for unfrozen > 0 {
-		// Find the bottleneck link: smallest fair share.
-		share := math.MaxFloat64
-		for _, l := range f.compLinks {
-			if f.linkCnt[l] > 0 {
-				if s := f.linkCap[l] / float64(f.linkCnt[l]); s < share {
-					share = s
-				}
-			}
-		}
-		// Freeze every flow traversing a link at exactly that share.
-		progress := false
-		for _, fl := range f.compFlows {
-			if fl.frozen {
-				continue
-			}
-			se := f.linkCap[fl.src] / float64(f.linkCnt[fl.src])
-			si := f.linkCap[n+fl.dst] / float64(f.linkCnt[n+fl.dst])
-			if se <= share*(1+1e-12) || si <= share*(1+1e-12) {
-				fl.rate = share
-				fl.frozen = true
-				unfrozen--
-				progress = true
-				f.linkCap[fl.src] -= share
-				f.linkCap[n+fl.dst] -= share
-				f.linkCnt[fl.src]--
-				f.linkCnt[n+fl.dst]--
-			}
-		}
-		if !progress {
-			panic("netsim: water-filling failed to make progress")
-		}
-	}
+	f.waterFill()
 
 	// Utilization changed only on component links; every flow on such a link
 	// is in the component, so summing component flows is the full picture.
@@ -391,7 +386,6 @@ func (f *Fabric) rerateTouched() {
 	for _, fl := range f.compFlows {
 		f.linkCap[fl.src] += fl.rate
 		f.linkCap[n+fl.dst] += fl.rate
-		fl.frozen = false
 		fl.inComp = false
 	}
 	now := f.eng.Now()
@@ -422,6 +416,175 @@ func (f *Fabric) rerateTouched() {
 	if soonest < sim.Time(math.MaxFloat64) {
 		f.completion = f.eng.After(soonest, f.completeFn)
 	}
+}
+
+// waterFill assigns max-min fair rates to f.compFlows over f.compLinks.
+//
+// Each round finds the bottleneck share — the smallest cap/cnt over the
+// component's links — and walks the unfrozen flows in compFlows order,
+// freezing a flow at that share when either of its links' evolving share
+// (cap/cnt after the freezes earlier in the walk) is within 1e-12 of it.
+// The walk visits only flows on candidate links, those whose evolving share
+// is at or below that limit, so a round costs O(links + flows on candidate
+// links) instead of O(component flows).
+//
+// Skipping the other flows is exact, not approximate. A flow is tested only
+// against its two links' evolving shares, and a link's share changes only
+// when a flow on it freezes. Candidates are chosen at round start and
+// re-checked after every freeze, so a link joins the candidate set the
+// moment its share reaches the limit, and its unfrozen flows later in
+// compFlows order join the walk. Every flow the full scan would freeze is
+// therefore visited, at the same point in the same order, and every
+// capacity, share and rate is computed by the same floating-point
+// operations. The same invariant lets the walk test a link's share only
+// when the link is a candidate. In exact arithmetic a link above the limit
+// only rises as flows on it freeze, so the re-check can promote a link
+// mid-round only if rounding moves its share down by its last few ulps;
+// checking anyway keeps exactness from resting on how far rounding can go.
+func (f *Fabric) waterFill() {
+	n := len(f.nics)
+	m := len(f.compFlows)
+	f.flowSrc, f.flowDst = grow(f.flowSrc, m), grow(f.flowDst, m)
+	f.flowFrozen = grow(f.flowFrozen, m)
+	f.linkFlows = grow(f.linkFlows, 2*m)
+	f.visit = grow(f.visit, (m+63)/64)
+	src, dst, frozen, visit := f.flowSrc, f.flowDst, f.flowFrozen, f.visit
+	capacity, count, cand := f.linkCap, f.linkCnt, f.linkCand
+
+	// Residual capacity per link; links are (machine, direction).
+	for _, l := range f.compLinks {
+		if l < n {
+			capacity[l] = f.nics[l].egressBW
+		} else {
+			capacity[l] = f.nics[l-n].ingressBW
+		}
+		count[l] = 0
+	}
+	for i, fl := range f.compFlows {
+		src[i], dst[i], frozen[i] = int32(fl.src), int32(n+fl.dst), false
+		count[fl.src]++
+		count[n+fl.dst]++
+	}
+	off := 0
+	for _, l := range f.compLinks {
+		f.linkOff[l], f.linkEnd[l] = off, off
+		off += count[l]
+	}
+	for i := range src {
+		f.linkFlows[f.linkEnd[src[i]]] = int32(i)
+		f.linkEnd[src[i]]++
+		f.linkFlows[f.linkEnd[dst[i]]] = int32(i)
+		f.linkEnd[dst[i]]++
+	}
+
+	links := f.compLinks
+	for unfrozen := m; unfrozen > 0; {
+		// Find the bottleneck link: smallest fair share. Links whose flows
+		// have all frozen drop out for the rest of the rerate.
+		share := math.MaxFloat64
+		live := f.liveLinks[:0]
+		for _, l := range links {
+			if count[l] == 0 {
+				continue
+			}
+			live = append(live, l)
+			s := capacity[l] / float64(count[l])
+			f.linkShare[l] = s
+			if s < share {
+				share = s
+			}
+		}
+		f.liveLinks, links = live, live
+		// The candidates: links within 1e-12 of the bottleneck share.
+		limit := share * (1 + 1e-12)
+		f.candEpoch++
+		epoch := f.candEpoch
+		for _, l := range live {
+			if f.linkShare[l] <= limit {
+				f.queue(l, -1)
+			}
+		}
+		// Freeze every visited flow traversing a link at that share.
+		progress := false
+		for w := range visit {
+			for visit[w] != 0 {
+				i := w<<6 | bits.TrailingZeros64(visit[w])
+				visit[w] &= visit[w] - 1
+				s, d := src[i], dst[i]
+				if cand[s] == epoch && shareAtMost(capacity[s], count[s], limit) ||
+					cand[d] == epoch && shareAtMost(capacity[d], count[d], limit) {
+					f.compFlows[i].rate = share
+					frozen[i] = true
+					unfrozen--
+					progress = true
+					capacity[s] -= share
+					capacity[d] -= share
+					count[s]--
+					count[d]--
+					if cand[s] != epoch && count[s] > 0 && shareAtMost(capacity[s], count[s], limit) {
+						f.queue(int(s), i)
+					}
+					if cand[d] != epoch && count[d] > 0 && shareAtMost(capacity[d], count[d], limit) {
+						f.queue(int(d), i)
+					}
+				}
+			}
+		}
+		if !progress {
+			panic("netsim: water-filling failed to make progress")
+		}
+	}
+}
+
+// shareAtMost reports whether a link's evolving fair share, the rounded
+// quotient c/k of its residual capacity and unfrozen flow count, is at or
+// below limit. k must be positive.
+//
+// The answer is the division's, but the division runs only when the
+// quotient lies within about 1e-14 of limit. Elsewhere one product decides:
+// with p = limit·k rounded, c ≤ p·(1−1e-14) puts the exact quotient below
+// limit, so its rounding cannot exceed limit, and c ≥ p·(1+1e-14) puts it
+// more than one ulp above limit, so its rounding stays above. Each product
+// is off by at most a few 2^-53, far inside the 1e-14 margin. A freeze then
+// costs a subtraction and a decrement per link instead of a division, whose
+// latency would otherwise chain one freeze test to the next.
+func shareAtMost(c float64, k int, limit float64) bool {
+	p := limit * float64(k)
+	if c <= p*(1-1e-14) {
+		return true
+	}
+	if c >= p*(1+1e-14) {
+		return false
+	}
+	return c/float64(k) <= limit
+}
+
+// queue makes link l a candidate for the current round and queues its
+// unfrozen flows with compFlows index above after, dropping the list's
+// frozen entries.
+func (f *Fabric) queue(l, after int) {
+	f.linkCand[l] = f.candEpoch
+	kept := f.linkOff[l]
+	for _, i := range f.linkFlows[f.linkOff[l]:f.linkEnd[l]] {
+		if f.flowFrozen[i] {
+			continue
+		}
+		f.linkFlows[kept] = i
+		kept++
+		if int(i) > after {
+			f.visit[i>>6] |= 1 << (i & 63)
+		}
+	}
+	f.linkEnd[l] = kept
+}
+
+// grow returns s resliced to length n, reallocating with headroom when it is
+// too short so a fabric's scratch settles after a few rerates.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = make([]T, n, 2*n)
+	}
+	return s[:n]
 }
 
 // complete retires flows that have drained, then recomputes rates.

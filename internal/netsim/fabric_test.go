@@ -279,3 +279,34 @@ func (r *deterministicRand) next() int {
 	r.state = r.state*6364136223846793005 + 1442695040888963407
 	return int(r.state >> 33 & 0x7fffffff)
 }
+
+// TestRecycledFlowIsReset: a completed flow's struct goes back to the pool
+// and the next Transfer reuses it, so every field must be reset first —
+// stale state from the previous flow must not leak into the new one.
+func TestRecycledFlowIsReset(t *testing.T) {
+	eng := sim.NewEngine()
+	f := NewFabric(eng, 3, 100e6)
+	first := f.Transfer(0, 1, 100e6, func() {})
+	eng.Run()
+	if len(f.pool) != 1 || f.pool[0] != first {
+		t.Fatalf("completed flow was not recycled: pool %v", f.pool)
+	}
+	// Dirty every field the previous flow could have left behind.
+	*first = Flow{src: 2, dst: 2, remaining: 7, total: 9, rate: 5, done: func() { t.Error("stale callback ran") }, seq: 99, active: true, inComp: true}
+
+	fired := false
+	second := f.Transfer(1, 2, 50e6, func() { fired = true })
+	if second != first {
+		t.Fatal("Transfer did not reuse the pooled struct")
+	}
+	if second.src != 1 || second.dst != 2 || second.remaining != 50e6 || second.total != 50e6 {
+		t.Fatalf("reused flow kept stale endpoints or sizes: %+v", *second)
+	}
+	if second.rate != 100e6 || second.seq != 2 || !second.active || second.inComp {
+		t.Fatalf("reused flow kept stale rate or state: %+v", *second)
+	}
+	eng.Run()
+	if !fired {
+		t.Fatal("reused flow never completed with its own callback")
+	}
+}
