@@ -80,13 +80,6 @@ var parallel = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for exp
 // experiment reports failed instead of hanging the whole benchmark run.
 var timeout = flag.Duration("timeout", 0, "per-experiment wall-clock budget (0 = none), e.g. 90s")
 
-// shards, when above 1, runs every experiment's simulations on the sharded
-// engine: machines partition into that many shards advancing in parallel
-// within a topology-derived lookahead. Unlike --parallel (which runs whole
-// grid cells concurrently), --shards parallelizes inside a single run.
-// Results are bit-identical at any setting.
-var shards = flag.Int("shards", 0, "engine shards per simulation (0/1 = serial engine)")
-
 // workerDispatch delegates stage execution to worker-side dispatchers
 // (jobsched.Config.WorkerDispatch): workers self-assign tasks from the job
 // template when a slot opens and exchange stage-completion metadata peer to
@@ -173,23 +166,6 @@ func main() {
 			setParallelArg(args[i])
 			continue
 		}
-		if v, ok := strings.CutPrefix(a, "--shards="); ok {
-			setShardsArg(v)
-			continue
-		}
-		if v, ok := strings.CutPrefix(a, "-shards="); ok {
-			setShardsArg(v)
-			continue
-		}
-		if a == "--shards" || a == "-shards" {
-			if i+1 >= len(args) {
-				fmt.Fprintf(os.Stderr, "monobench: %s needs a value\n", a)
-				os.Exit(2)
-			}
-			i++
-			setShardsArg(args[i])
-			continue
-		}
 		if a == "--worker-dispatch" || a == "-worker-dispatch" {
 			*workerDispatch = true
 			continue
@@ -232,7 +208,6 @@ func main() {
 	}
 	args = kept
 	sweep.SetParallelism(*parallel)
-	figures.SetShards(*shards)
 	figures.SetWorkerDispatch(*workerDispatch)
 	if len(args) == 0 {
 		usage()
@@ -340,16 +315,6 @@ func setTimeoutArg(v string) {
 		os.Exit(2)
 	}
 	*timeout = d
-}
-
-// setShardsArg parses a trailing --shards value into the flag.
-func setShardsArg(v string) {
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		fmt.Fprintf(os.Stderr, "monobench: bad --shards value %q\n", v)
-		os.Exit(2)
-	}
-	*shards = n
 }
 
 // setParallelArg parses a trailing --parallel value into the flag.

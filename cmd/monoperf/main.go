@@ -6,10 +6,8 @@
 //	monoperf -out BENCH_8.json                                # full run
 //	monoperf -quick -baseline BENCH_7.json -out BENCH_ci.json # CI-sized run
 //
-// The exit status doubles as six gates: if the parallel sweep's rendered
-// output is not byte-identical to the serial run's, if any sharded-engine
-// comparison's checksums diverge from its serial leg, if a product run's
-// sharded output diverges from the serial engine's, if any control-plane
+// The exit status doubles as four gates: if the parallel sweep's rendered
+// output is not byte-identical to the serial run's, if any control-plane
 // comparison's delegated checksum diverges from its centralized leg, or if
 // -baseline names an earlier report and SortEndToEnd's allocs/op regressed
 // more than 10% against it — or delegated submission costs more than 10%
@@ -72,52 +70,13 @@ func main() {
 		perf.Bench("DriverSubmit", perf.BenchDriverSubmit),
 		perf.Bench("DriverSubmitDelegated", perf.BenchDriverSubmitDelegated),
 		perf.Bench("MultiJobSteadyState", perf.BenchMultiJobSteadyState),
-		perf.Bench("EngineSharded4", perf.BenchEngineSharded(4)),
-	}
-	// Serial-vs-sharded engine table: every workload shape at 1/2/4/8 shards
-	// (the EXPERIMENTS.md speedup table). Event counts are scaled down by
-	// -quick.
-	shardEvents := 1 << 20
-	if *quick {
-		shardEvents = 1 << 17
-	}
-	for _, workload := range []string{"sort", "chaos", "memory"} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			sc, err := perf.CompareShardedEngine(workload, 8, shards, shardEvents)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "monoperf: %v\n", err)
-				os.Exit(1)
-			}
-			rep.Sharded = append(rep.Sharded, sc)
-		}
-	}
-	// Real-run sharding table: the golden sort end to end on the serial vs
-	// sharded engine, with the engine's lane-occupancy counters. Shards 1
-	// measures the sharded machinery's overhead; shards 4 is the product
-	// configuration the CI smoke leg exercises.
-	for _, shards := range []int{1, 4} {
-		pc, err := perf.CompareShardedProduct("golden-sort", shards, func(s int) (perf.ProductRun, error) {
-			st, err := figures.SortMonotasks(16*units.GB, 4, s)
-			if err != nil {
-				return perf.ProductRun{}, err
-			}
-			return perf.ProductRun{
-				Output:       st.Output,
-				LaneEvents:   st.LaneEvents,
-				GlobalEvents: st.GlobalEvents,
-				Occupancy:    st.Occupancy,
-			}, nil
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "monoperf: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Product = append(rep.Product, pc)
 	}
 	// Control-plane table: the same workload with centralized driver dispatch
 	// and with worker-side delegation. steady-sort holds the driver, so its
-	// row carries real message counts; golden-sort runs the exact corpus the
-	// golden tests lock down, through the figures hook.
+	// row carries real message counts; golden-sort runs the exact sort the
+	// golden tests lock down (both systems), through the figures hook, and
+	// renders it at full precision: the human-facing table rounds, but the
+	// equivalence contract is bitwise.
 	controlRows := []struct {
 		name string
 		leg  func(delegated bool) (perf.ControlRun, error)
@@ -128,11 +87,16 @@ func main() {
 		{"golden-sort", func(delegated bool) (perf.ControlRun, error) {
 			figures.SetWorkerDispatch(delegated)
 			defer figures.SetWorkerDispatch(false)
-			st, err := figures.SortMonotasks(16*units.GB, 4, 0)
+			sr, err := figures.SortSized(16*units.GB, 4)
 			if err != nil {
 				return perf.ControlRun{}, err
 			}
-			return perf.ControlRun{Output: st.Output}, nil
+			var buf bytes.Buffer
+			for _, row := range sr.Rows {
+				fmt.Fprintf(&buf, "%s job=%.9f map=%.9f reduce=%.9f\n",
+					row.System, float64(row.Job), float64(row.Map), float64(row.Reduce))
+			}
+			return perf.ControlRun{Output: buf.Bytes()}, nil
 		}},
 	}
 	for _, row := range controlRows {
@@ -182,21 +146,6 @@ func main() {
 	}
 	fmt.Printf("%-24s serial %.0f ms, parallel(%d) %.0f ms on %d CPUs, speedup %.2fx, identical %v\n",
 		"sweep:"+sw.Experiment, sw.SerialMs, sw.Workers, sw.ParallelMs, sw.NumCPU, sw.Speedup, sw.Identical)
-	shardedOK := true
-	for _, sc := range rep.Sharded {
-		fmt.Printf("%-24s serial %.0f ms, sharded(%d) %.0f ms, speedup %.2fx, identical %v\n",
-			"shard:"+sc.Workload, sc.SerialMs, sc.Shards, sc.ShardedMs, sc.Speedup, sc.Identical)
-		if !sc.Identical {
-			shardedOK = false
-		}
-	}
-	for _, pc := range rep.Product {
-		fmt.Printf("%-24s serial %.0f ms, sharded(%d) %.0f ms, speedup %.2fx, lane occupancy %.2f, identical %v\n",
-			"product:"+pc.Workload, pc.SerialMs, pc.Shards, pc.ShardedMs, pc.Speedup, pc.LaneOccupancy, pc.Identical)
-		if !pc.Identical {
-			shardedOK = false
-		}
-	}
 	controlOK := true
 	for _, cc := range rep.Control {
 		fmt.Printf("%-24s centralized %.0f ms, delegated %.0f ms, identical %v",
@@ -218,10 +167,6 @@ func main() {
 	fmt.Printf("wrote %s\n", *out)
 	if !sw.Identical {
 		fmt.Fprintln(os.Stderr, "monoperf: parallel sweep output diverged from serial run")
-		os.Exit(1)
-	}
-	if !shardedOK {
-		fmt.Fprintln(os.Stderr, "monoperf: sharded engine checksums diverged from serial run")
 		os.Exit(1)
 	}
 	if !controlOK {

@@ -131,41 +131,8 @@ type Machine struct {
 	// it disabled (the default), so every consumer must gate on nil.
 	Memory *resource.Memory
 
-	// sched is the timeline the machine's devices live on: the cluster engine
-	// in a serial run, the machine's own lane when sharding is configured.
-	// lane is non-nil only in the latter case.
-	sched sim.Scheduler
-	lane  *sim.Lane
-
 	memInUse int64
 	memPeak  int64
-}
-
-// Scheduler reports the timeline the machine's devices schedule against —
-// the machine's lane under sharding, the cluster engine otherwise. Executors
-// built on this machine must place per-machine events here.
-func (m *Machine) Scheduler() sim.Scheduler { return m.sched }
-
-// Lane reports the machine's shard lane, or nil in a serial run. Executors
-// use it for the lane→global escape (sim.Lane.Global) when a machine-local
-// event has a cluster-wide consequence.
-func (m *Machine) Lane() *sim.Lane { return m.lane }
-
-// bind rebinds the machine's devices to the given timeline. Only legal while
-// the devices are idle — resource.SetScheduler panics otherwise.
-func (m *Machine) bind(sched sim.Scheduler, lane *sim.Lane) {
-	if m.sched == sched {
-		return
-	}
-	m.sched = sched
-	m.lane = lane
-	m.CPU.SetScheduler(sched)
-	for _, d := range m.Disks {
-		d.SetScheduler(sched)
-	}
-	if m.Memory != nil {
-		m.Memory.SetScheduler(sched)
-	}
 }
 
 // MemAlloc charges bytes of memory. It never fails — the paper's MonoSpark
@@ -240,11 +207,10 @@ func NewHetero(specs []MachineSpec) (*Cluster, error) {
 	c := &Cluster{Engine: eng, Fabric: netsim.NewFabricBW(eng, linkBWs), spec: specs[0]}
 	for i, s := range specs {
 		m := &Machine{
-			ID:    i,
-			Spec:  s,
-			CPU:   resource.NewCPUWithSpeed(eng, s.Cores, s.speed()),
-			NIC:   c.Fabric.NIC(i),
-			sched: eng,
+			ID:   i,
+			Spec: s,
+			CPU:  resource.NewCPUWithSpeed(eng, s.Cores, s.speed()),
+			NIC:  c.Fabric.NIC(i),
 		}
 		for _, ds := range s.Disks {
 			ds.SeqBW *= s.speed()
@@ -293,50 +259,12 @@ func (c *Cluster) SetMachineSpeed(m int, factor float64) {
 	c.Fabric.SetLinkSpeed(m, factor)
 }
 
-// LookaheadHorizon derives the cluster's conservative lookahead: the minimum
-// virtual time within which no machine can affect another. Machines interact
-// only through the fabric, and the smallest interaction the shuffle planner
-// ever puts on the wire is a single byte, so the horizon is one byte over the
-// fastest link (netsim.Fabric.MinTransferLatency). A scheduler that knows the
-// upcoming stage shapes can tighten this with shuffle.Tracker.MinFetchBytes;
-// this static floor is valid for any workload.
-func (c *Cluster) LookaheadHorizon() sim.Duration {
-	return c.Fabric.MinTransferLatency(1)
-}
-
 // ControlPlaneStats returns the fabric's control-plane ledger totals: the
 // zero-virtual-time coordination messages recorded between machines (the
 // delegated driver's peer-to-peer stage-completion broadcasts). Zero for a
 // centralized control plane, which exchanges no worker-to-worker metadata.
 func (c *Cluster) ControlPlaneStats() netsim.ControlStats {
 	return c.Fabric.ControlStats()
-}
-
-// ConfigureSharding partitions the engine into one lane per machine, grouped
-// into the given number of shards, with the topology-derived lookahead from
-// LookaheadHorizon, and rebinds each machine's devices (CPU, disks, memory)
-// onto its lane — the lane-affinity migration: per-machine completion events
-// drain in parallel windows instead of serializing on the global timeline.
-// Shards outside [1, machines] are clamped. Sharding is an execution
-// strategy, not a model change: the engine guarantees bit-identical event
-// order at any shard count, which TestGoldenShardedVsSerial pins over the
-// golden corpora. Only legal while the devices are idle (between runs).
-func (c *Cluster) ConfigureSharding(shards int) {
-	c.Engine.ConfigureShards(len(c.Machines), shards, c.LookaheadHorizon())
-	for i, m := range c.Machines {
-		ln := c.Engine.Lane(i)
-		m.bind(ln, ln)
-	}
-}
-
-// DisableSharding removes the lane layer and rebinds every machine's devices
-// back onto the serial engine — the zero-config fallback ConfigureSharding
-// undoes. Panics if lane events are still pending.
-func (c *Cluster) DisableSharding() {
-	c.Engine.DisableShards()
-	for _, m := range c.Machines {
-		m.bind(c.Engine, nil)
-	}
 }
 
 // Spec returns the per-machine specification.

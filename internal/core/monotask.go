@@ -222,19 +222,15 @@ func (w *Worker) finish(m *monotask, metric task.MonotaskMetric) {
 	}
 	mt.remaining--
 	if mt.remaining == 0 {
-		mt.metrics.End = w.sched.Now()
+		mt.metrics.End = w.eng.Now()
 		mt.worker.machine.MemFree(mt.bufBytes)
 		if mem := mt.worker.machine.Memory; mem != nil {
 			mem.Release(mt.memHeld)
 			mt.memHeld = 0
 		}
-		// Defer the completion callback to the global timeline so the
-		// driver's follow-on launches see consistent scheduler state; in a
-		// sharded run this is also the escape off the machine's lane (the
-		// driver may react by launching on any machine), merged by its
-		// causal key so same-instant completions from different lanes
-		// reach the driver in serial order.
-		w.global(0, mt.completeFn)
+		// Defer the completion callback to the engine so the driver's
+		// follow-on launches see consistent scheduler state.
+		w.eng.After(0, mt.completeFn)
 	}
 	w.recycleMono(m)
 }

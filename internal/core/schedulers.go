@@ -68,7 +68,7 @@ func (op *computeOp) done() {
 		Machine:  cs.w.machine.ID,
 		Queued:   m.queued,
 		Start:    m.start,
-		End:      cs.w.sched.Now(),
+		End:      cs.w.eng.Now(),
 		DeserSec: m.deser,
 		OpSec:    m.op,
 		SerSec:   m.ser,
@@ -91,17 +91,17 @@ func newQueue(w *Worker) *rrQueue {
 }
 
 func (cs *computeScheduler) submit(m *monotask) {
-	m.queued = cs.w.sched.Now()
+	m.queued = cs.w.eng.Now()
 	cs.queue.push(m)
 	cs.pump()
-	cs.QueueLen.Set(cs.w.sched.Now(), float64(cs.queue.len()))
+	cs.QueueLen.Set(cs.w.eng.Now(), float64(cs.queue.len()))
 }
 
 func (cs *computeScheduler) pump() {
 	for cs.running < cs.limit && cs.queue.len() > 0 {
 		m := cs.queue.pop()
-		cs.QueueLen.Set(cs.w.sched.Now(), float64(cs.queue.len()))
-		m.start = cs.w.sched.Now()
+		cs.QueueLen.Set(cs.w.eng.Now(), float64(cs.queue.len()))
+		m.start = cs.w.eng.Now()
 		cs.running++
 		op := cs.takeOp()
 		op.m = m
@@ -154,7 +154,7 @@ func (ds *diskScheduler) takeOp() *diskOp {
 func (op *diskOp) done() {
 	ds := op.ds
 	ds.running--
-	end := ds.w.sched.Now()
+	end := ds.w.eng.Now()
 	ds.pump()
 	for _, bm := range op.batch {
 		metric := task.MonotaskMetric{
@@ -165,25 +165,6 @@ func (op *diskOp) done() {
 			Start:    bm.start,
 			End:      end,
 			Bytes:    bm.bytes,
-		}
-		if bm.phase == phaseServe && ds.w.lane != nil {
-			// A serve-phase read completed on this machine's lane, but its
-			// consequences are cross-machine: onDone starts a fabric
-			// transfer and finish mutates the remote requester's multitask.
-			// Escape to the global timeline at the completion instant. The
-			// serial engine runs this reaction inline inside the disk
-			// completion event, so the inline flavor keeps the causal key —
-			// and with it the serial reaction order for same-instant serve
-			// completions across lanes, which consume order-sensitive
-			// shared state (fetch pipelining, the serve disk cursor).
-			bm, metric := bm, metric
-			ds.w.lane.GlobalInline(func() {
-				if bm.onDone != nil {
-					bm.onDone()
-				}
-				ds.w.finish(bm, metric)
-			})
-			continue
 		}
 		if bm.onDone != nil {
 			bm.onDone()
@@ -206,10 +187,10 @@ func newDiskScheduler(w *Worker, d *resource.Disk, ssdConcurrency int) *diskSche
 }
 
 func (ds *diskScheduler) submit(m *monotask) {
-	m.queued = ds.w.sched.Now()
+	m.queued = ds.w.eng.Now()
 	ds.queue.push(m)
 	ds.pump()
-	ds.QueueLen.Set(ds.w.sched.Now(), float64(ds.queue.len()))
+	ds.QueueLen.Set(ds.w.eng.Now(), float64(ds.queue.len()))
 }
 
 // smallRequestBytes is the footnote-1 threshold below which queued reads
@@ -225,8 +206,8 @@ func (ds *diskScheduler) pump() {
 		m := ds.queue.pop()
 		op := ds.takeOp()
 		ds.gatherBatch(op, m)
-		ds.QueueLen.Set(ds.w.sched.Now(), float64(ds.queue.len()))
-		now := ds.w.sched.Now()
+		ds.QueueLen.Set(ds.w.eng.Now(), float64(ds.queue.len()))
+		now := ds.w.eng.Now()
 		var total int64
 		for _, bm := range op.batch {
 			bm.start = now
@@ -306,7 +287,7 @@ func (ns *networkScheduler) takeEntry(mt *multitask) *netEntry {
 		e = &netEntry{}
 	}
 	e.mt = mt
-	e.queuedAt = ns.w.sched.Now()
+	e.queuedAt = ns.w.eng.Now()
 	return e
 }
 
@@ -322,7 +303,7 @@ func (ns *networkScheduler) recycleEntry(e *netEntry) {
 }
 
 func (ns *networkScheduler) submit(m *monotask) {
-	m.queued = ns.w.sched.Now()
+	m.queued = ns.w.eng.Now()
 	e := m.owner.netEntry
 	if e == nil {
 		e = ns.takeEntry(m.owner)
@@ -335,11 +316,11 @@ func (ns *networkScheduler) submit(m *monotask) {
 	}
 	e.pending = append(e.pending, m)
 	ns.pump()
-	ns.QueueLen.Set(ns.w.sched.Now(), float64(len(ns.fifo)))
+	ns.QueueLen.Set(ns.w.eng.Now(), float64(len(ns.fifo)))
 }
 
 func (ns *networkScheduler) pump() {
-	defer func() { ns.QueueLen.Set(ns.w.sched.Now(), float64(len(ns.fifo))) }()
+	defer func() { ns.QueueLen.Set(ns.w.eng.Now(), float64(len(ns.fifo))) }()
 	for ns.active < ns.limit && len(ns.fifo) > 0 {
 		e := ns.fifo[0]
 		ns.fifo[0] = nil
@@ -387,7 +368,7 @@ func (ns *networkScheduler) takeOp() *fetchOp {
 // matching policy the whole serve+transfer waits for a sender/receiver
 // grant first.
 func (ns *networkScheduler) launch(e *netEntry, m *monotask) {
-	m.start = ns.w.sched.Now()
+	m.start = ns.w.eng.Now()
 	e.inflight++
 	op := ns.takeOp()
 	op.e, op.m = e, m
@@ -434,7 +415,7 @@ func (op *fetchOp) done() {
 		Machine:  ns.w.machine.ID,
 		Queued:   m.queued,
 		Start:    m.start,
-		End:      ns.w.sched.Now(),
+		End:      ns.w.eng.Now(),
 		Bytes:    m.bytes,
 	}
 	e.inflight--

@@ -64,13 +64,6 @@ type Worker struct {
 	opts    Options
 	peers   func(int) *Worker
 
-	// sched is the timeline this worker's machine-local work runs on: the
-	// machine's lane in a sharded run, the engine otherwise. lane is non-nil
-	// only when sharded; cross-machine consequences route through it (see
-	// global).
-	sched sim.Scheduler
-	lane  *sim.Lane
-
 	compute *computeScheduler
 	disks   []*diskScheduler
 	network *networkScheduler
@@ -102,7 +95,6 @@ type Worker struct {
 func NewWorker(m *cluster.Machine, fabric *netsim.Fabric, eng *sim.Engine, opts Options) *Worker {
 	opts = opts.withDefaults()
 	w := &Worker{machine: m, eng: eng, fabric: fabric, opts: opts,
-		sched: m.Scheduler(), lane: m.Lane(),
 		templates: make(map[*task.StageSpec]*dagTemplate)}
 	w.compute = newComputeScheduler(w)
 	for _, d := range m.Disks {
@@ -121,21 +113,7 @@ func (w *Worker) SetPeers(lookup func(machineID int) *Worker) { w.peers = lookup
 // wires each worker's dispatcher here; re-registering replaces the previous
 // hook, which is how per-job drivers over one long-lived worker group stay
 // correct — a stale driver's fill finds no runnable work and is a no-op.
-// The hook runs on the global timeline, same as the completion it follows.
 func (w *Worker) SetTaskSource(pull func()) { w.pull = pull }
-
-// global schedules fn on the global timeline after d. Work whose consequences
-// cross machines — multitask completion callbacks into the driver, shuffle
-// serves that start a fabric transfer — must not run on this machine's lane,
-// where peers' state is not safely reachable. In a serial run the engine is
-// the global timeline and the post is a plain After.
-func (w *Worker) global(d sim.Duration, fn func()) {
-	if w.lane != nil {
-		w.lane.Global(d, fn)
-		return
-	}
-	w.eng.After(d, fn)
-}
 
 func (w *Worker) peer(id int) *Worker {
 	if w.peers == nil {
@@ -174,7 +152,7 @@ func (w *Worker) Launch(t *task.Task, done func(*task.TaskMetrics)) {
 		panic(fmt.Sprintf("core: task for machine %d launched on %d", t.Machine, w.machine.ID))
 	}
 	if w.opts.Faults != nil {
-		if reason, after, failed := w.opts.Faults.AttemptFault(t, w.sched.Now()); failed {
+		if reason, after, failed := w.opts.Faults.AttemptFault(t, w.eng.Now()); failed {
 			w.failLaunch(t, reason, after, done)
 			return
 		}
@@ -188,7 +166,7 @@ func (w *Worker) Launch(t *task.Task, done func(*task.TaskMetrics)) {
 	if w.machine.Memory != nil && len(w.disks) > 0 {
 		mcap++ // capacity pressure may add a mem-spill write
 	}
-	mt.metrics = task.NewTaskMetrics(t.Stage.ID, t.Index, t.Machine, w.sched.Now(), mcap)
+	mt.metrics = task.NewTaskMetrics(t.Stage.ID, t.Index, t.Machine, w.eng.Now(), mcap)
 	w.machine.MemAlloc(mt.bufBytes)
 	ready := w.decompose(mt)
 	if len(ready) == 0 {
@@ -208,7 +186,7 @@ func (w *Worker) failLaunch(t *task.Task, reason string, after sim.Duration, don
 		StageID:    t.Stage.ID,
 		Index:      t.Index,
 		Machine:    t.Machine,
-		Start:      w.sched.Now(),
+		Start:      w.eng.Now(),
 		Failed:     true,
 		FailReason: reason,
 	}

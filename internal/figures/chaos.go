@@ -107,7 +107,6 @@ func chaosRun(seed int64, mode monospark.Mode) (chaosOutcome, error) {
 			FetchRetryTimeout: 60,
 		},
 		Telemetry:      telemetryCfg,
-		Shards:         shardCount,
 		WorkerDispatch: workerDispatch,
 	})
 	if err != nil {

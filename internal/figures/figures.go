@@ -37,23 +37,9 @@ func SetTelemetry(cfg *telemetry.Config, sink func(*telemetry.Sampler)) {
 	telemetrySink = sink
 }
 
-// shardCount, when above 1, runs every executed figure (and chaos cell) on
-// the sharded engine with that many shards. Like the telemetry hook, it is
-// shared read-only across sweep workers.
-var shardCount int
-
-// SetShards installs (or, with n ≤ 1, clears) the shard-count hook — the
-// monobench --shards plumbing. Sharding is an execution strategy with
-// bit-identical results at any shard count, so flipping it never changes
-// figure output (pinned by TestGoldenShardedVsSerial). Not safe to call
-// while experiments run.
-func SetShards(n int) {
-	shardCount = n
-}
-
 // workerDispatch, when true, runs every executed figure (and chaos cell)
 // with the delegated control plane (jobsched.Config.WorkerDispatch). Like
-// the shard hook, it is shared read-only across sweep workers.
+// the telemetry hook, it is shared read-only across sweep workers.
 var workerDispatch bool
 
 // SetWorkerDispatch installs (or clears) the worker-dispatch hook — the
@@ -107,9 +93,6 @@ func executeHetero(specs []cluster.MachineSpec, o run.Options, builders ...Build
 	if cfg := telemetryCfg; cfg != nil {
 		o.Telemetry = cfg
 		o.OnTelemetry = telemetrySink
-	}
-	if shardCount > 1 && o.Shards == 0 {
-		o.Shards = shardCount
 	}
 	if workerDispatch {
 		o.Sched.WorkerDispatch = true

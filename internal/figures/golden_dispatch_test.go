@@ -11,11 +11,9 @@ import (
 // matrix (task kills via FailRunningTasks, flaky fetches driving the fetch
 // retry timeout, crashes, machine exclusion), and the memory-model sweep must
 // render byte-identical output with centralized driver dispatch and with
-// worker-side dispatch — on the serial engine and at 1 and 4 shards.
-// Worker-side
-// dispatch is an execution strategy, not a policy change; any divergence
-// means a worker-local fill picked a different task than the driver's global
-// pass would have.
+// worker-side dispatch. Worker-side dispatch is an execution strategy, not a
+// policy change; any divergence means a worker-local fill picked a different
+// task than the driver's global pass would have.
 func TestGoldenWorkerDispatch(t *testing.T) {
 	render := func() []byte {
 		var buf bytes.Buffer
@@ -47,19 +45,12 @@ func TestGoldenWorkerDispatch(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	defer func() {
-		SetWorkerDispatch(false)
-		SetShards(0)
-	}()
-	for _, shards := range []int{0, 1, 4} {
-		SetShards(shards)
-		SetWorkerDispatch(false)
-		centralized := render()
-		SetWorkerDispatch(true)
-		delegated := render()
-		if !bytes.Equal(centralized, delegated) {
-			t.Fatalf("shards=%d: worker dispatch diverged from centralized at:\n%s",
-				shards, firstDiffLine(delegated, centralized))
-		}
+	centralized := render()
+	defer SetWorkerDispatch(false)
+	SetWorkerDispatch(true)
+	delegated := render()
+	if !bytes.Equal(centralized, delegated) {
+		t.Fatalf("worker dispatch diverged from centralized at:\n%s",
+			firstDiffLine(delegated, centralized))
 	}
 }

@@ -164,38 +164,6 @@ func (f *Fabric) NIC(i int) *NIC { return f.nics[i] }
 // Size reports the number of machines.
 func (f *Fabric) Size() int { return len(f.nics) }
 
-// MaxLinkBW reports the largest configured link capacity in either direction,
-// from the base (construction-time) rates. Dynamic SetLinkSpeed factors are
-// deliberately excluded: the value bounds the best rate any flow could ever
-// be granted under factors ≤ 1, which is what a conservative lookahead needs
-// to stay valid for a whole run. A factor above 1 invalidates horizons
-// derived from this bound and callers who use such factors must re-derive.
-func (f *Fabric) MaxLinkBW() float64 {
-	var bw float64
-	for _, n := range f.nics {
-		if n.baseEgressBW > bw {
-			bw = n.baseEgressBW
-		}
-		if n.baseIngressBW > bw {
-			bw = n.baseIngressBW
-		}
-	}
-	return bw
-}
-
-// MinTransferLatency reports a lower bound on the time any cross-machine
-// transfer of the given size can take: bytes over the fastest link the fabric
-// owns. A flow's max-min rate never exceeds min(sender egress, receiver
-// ingress) ≤ MaxLinkBW, so no bytes-sized transfer completes sooner. This is
-// the fabric's contribution to the sharded engine's lookahead horizon — the
-// window within which machines cannot affect each other through the network.
-func (f *Fabric) MinTransferLatency(bytes int64) sim.Duration {
-	if bytes <= 0 {
-		return 0
-	}
-	return sim.Duration(float64(bytes) / f.MaxLinkBW())
-}
-
 // Transfer starts a flow of the given size from machine src to machine dst;
 // done fires when the last byte arrives. Local transfers (src == dst) are
 // free: data never leaves the machine, so done fires on the next dispatch.
@@ -621,9 +589,7 @@ func (f *Fabric) complete() {
 	f.rerateTouched()
 	// Simultaneously-finishing flows retire in Transfer order (f.order is
 	// insertion-ordered): completion order drives requester-side admission
-	// chains, and Transfer order is deterministic — on a sharded engine the
-	// causal-key merge replays the serial engine's Transfer interleaving
-	// exactly (see sim.Lane.Global).
+	// chains, and Transfer order is deterministic.
 	for _, fl := range finished {
 		fl.done()
 	}

@@ -162,7 +162,7 @@ func (c *bufferCache) write(key int, bytes int64) {
 		c.pumpFlush()
 	}
 	if c.flushDelay >= 0 {
-		c.w.sched.After(c.flushDelay, c.takeExpire(bytes).fn)
+		c.w.eng.After(c.flushDelay, c.takeExpire(bytes).fn)
 	}
 }
 
@@ -206,7 +206,7 @@ func (c *bufferCache) throttled() bool {
 // (immediately if they already are).
 func (c *bufferCache) waitWritable(resume func()) {
 	if !c.throttled() {
-		c.w.sched.After(0, resume)
+		c.w.eng.After(0, resume)
 		return
 	}
 	c.waiters = append(c.waiters, resume)

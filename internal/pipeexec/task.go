@@ -233,32 +233,15 @@ func (rt *runningTask) issueReads() {
 		}
 		switch c.kind {
 		case chunkMem:
-			rt.w.sched.After(0, onRead)
+			rt.w.eng.After(0, onRead)
 		case chunkLocalDisk:
 			rt.w.machine.Disks[c.disk].ReadStream(c.bytes, onRead)
 		case chunkRemoteBlock:
-			// Peer serve calls mutate the remote worker's state, which is
-			// not safely reachable from this machine's lane — route the call
-			// through the global timeline in a sharded run. The pooled rt
-			// cannot be recycled underneath the deferred call: the task is
-			// not finished while this chunk's read is outstanding.
-			if rt.w.lane != nil {
-				c := c
-				rt.w.lane.Global(0, func() {
-					rt.w.peer(c.fetch.From).serveBlockRead(c.fetch.FromDisk, rt.t.Machine, c.bytes, onRead)
-				})
-			} else {
-				rt.w.peer(c.fetch.From).serveBlockRead(c.fetch.FromDisk, rt.t.Machine, c.bytes, onRead)
-			}
+			rt.w.peer(c.fetch.From).serveBlockRead(c.fetch.FromDisk, rt.t.Machine, c.bytes, onRead)
 		case chunkShuffleFetch:
 			if c.fetch.From == rt.t.Machine {
 				// Local shuffle data: read through the local cache/disk.
 				rt.localShuffleRead(c, onRead)
-			} else if rt.w.lane != nil {
-				c := c
-				rt.w.lane.Global(0, func() {
-					rt.w.peer(c.fetch.From).serveFetch(c.fetch.Stage, rt.t.Machine, c.bytes, c.fetch.FromMem, onRead)
-				})
 			} else {
 				rt.w.peer(c.fetch.From).serveFetch(c.fetch.Stage, rt.t.Machine, c.bytes, c.fetch.FromMem, onRead)
 			}
@@ -271,7 +254,7 @@ func (rt *runningTask) localShuffleRead(c chunk, onRead func()) {
 	hit := rt.w.cache.readHitFraction(c.fetch.Stage)
 	diskBytes := c.bytes - int64(float64(c.bytes)*hit)
 	if diskBytes <= 0 {
-		rt.w.sched.After(0, onRead)
+		rt.w.eng.After(0, onRead)
 		return
 	}
 	rt.w.machine.Disks[rt.w.nextServeDisk()].ReadStream(diskBytes, onRead)
@@ -355,12 +338,10 @@ func (rt *runningTask) maybeFinish() {
 	if rt.done == nil {
 		return // completion already scheduled
 	}
-	rt.metrics.End = rt.w.sched.Now()
+	rt.metrics.End = rt.w.eng.Now()
 	rt.pendingDone = rt.done
 	rt.done = nil
-	// Completion reaches the driver, which may launch on any machine — in a
-	// sharded run this must leave the lane.
-	rt.w.global(0, rt.completeFn)
+	rt.w.eng.After(0, rt.completeFn)
 }
 
 // complete delivers the metrics and recycles the struct. Fields are

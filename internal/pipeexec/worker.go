@@ -75,14 +75,6 @@ type Worker struct {
 	cache   *bufferCache
 	peers   func(int) *Worker
 
-	// sched is the timeline machine-local work (chunk I/O, compute, the
-	// buffer cache) runs on: the machine's lane in a sharded run, the engine
-	// otherwise. lane is non-nil only when sharded; cross-machine work
-	// (fabric transfers, peer serve calls, task completion) escapes through
-	// it (see global).
-	sched sim.Scheduler
-	lane  *sim.Lane
-
 	serveCursor int
 	writeCursor int
 
@@ -98,12 +90,11 @@ type Worker struct {
 // xferOp is a pooled read-then-transfer continuation for the serving side
 // of a fetch: the disk read completes, then the fabric transfer starts.
 type xferOp struct {
-	w      *Worker
-	to     int
-	bytes  int64
-	done   func()
-	fn     func() // op.run, bound once per struct
-	xferFn func() // op.xfer, bound once per struct
+	w     *Worker
+	to    int
+	bytes int64
+	done  func()
+	fn    func() // op.run, bound once per struct
 }
 
 func (w *Worker) takeXfer(to int, bytes int64, done func()) *xferOp {
@@ -115,24 +106,12 @@ func (w *Worker) takeXfer(to int, bytes int64, done func()) *xferOp {
 	} else {
 		op = &xferOp{w: w}
 		op.fn = op.run
-		op.xferFn = op.xfer
 	}
 	op.to, op.bytes, op.done = to, bytes, done
 	return op
 }
 
-// run is the disk-read completion: in a sharded run it fires on this
-// machine's lane, and the fabric transfer it gates is cross-machine, so it
-// escapes to the global timeline first.
 func (op *xferOp) run() {
-	if op.w.lane != nil {
-		op.w.lane.Global(0, op.xferFn)
-		return
-	}
-	op.xfer()
-}
-
-func (op *xferOp) xfer() {
 	w, to, bytes, done := op.w, op.to, op.bytes, op.done
 	op.done = nil
 	w.xferPool = append(w.xferPool, op)
@@ -141,8 +120,7 @@ func (op *xferOp) xfer() {
 
 // NewWorker builds the Spark-style runtime for one machine.
 func NewWorker(m *cluster.Machine, fabric *netsim.Fabric, eng *sim.Engine, opts Options) *Worker {
-	w := &Worker{machine: m, eng: eng, fabric: fabric, opts: opts.withDefaults(m),
-		sched: m.Scheduler(), lane: m.Lane()}
+	w := &Worker{machine: m, eng: eng, fabric: fabric, opts: opts.withDefaults(m)}
 	if len(m.Disks) > 0 {
 		w.cache = newBufferCache(w, w.opts.CacheCapacity, w.opts.DirtyLimit, w.opts.FlushDelay)
 	}
@@ -151,17 +129,6 @@ func NewWorker(m *cluster.Machine, fabric *netsim.Fabric, eng *sim.Engine, opts 
 
 // SetPeers installs the lookup used for shuffle fetches.
 func (w *Worker) SetPeers(lookup func(machineID int) *Worker) { w.peers = lookup }
-
-// global schedules fn on the global timeline after d — the escape hatch for
-// work whose consequences cross machines (peer serve calls, completion
-// callbacks into the driver). A serial run posts to the engine directly.
-func (w *Worker) global(d sim.Duration, fn func()) {
-	if w.lane != nil {
-		w.lane.Global(d, fn)
-		return
-	}
-	w.eng.After(d, fn)
-}
 
 func (w *Worker) peer(id int) *Worker {
 	if w.peers == nil {
@@ -186,12 +153,12 @@ func (w *Worker) Launch(t *task.Task, done func(*task.TaskMetrics)) {
 		panic(fmt.Sprintf("pipeexec: task for machine %d launched on %d", t.Machine, w.machine.ID))
 	}
 	if w.opts.Faults != nil {
-		if reason, after, failed := w.opts.Faults.AttemptFault(t, w.sched.Now()); failed {
+		if reason, after, failed := w.opts.Faults.AttemptFault(t, w.eng.Now()); failed {
 			tm := &task.TaskMetrics{
 				StageID:    t.Stage.ID,
 				Index:      t.Index,
 				Machine:    t.Machine,
-				Start:      w.sched.Now(),
+				Start:      w.eng.Now(),
 				Failed:     true,
 				FailReason: reason,
 			}
@@ -204,7 +171,7 @@ func (w *Worker) Launch(t *task.Task, done func(*task.TaskMetrics)) {
 	}
 	rt := w.newRunningTask()
 	rt.t = t
-	rt.metrics = task.NewTaskMetrics(t.Stage.ID, t.Index, t.Machine, w.sched.Now(), 0)
+	rt.metrics = task.NewTaskMetrics(t.Stage.ID, t.Index, t.Machine, w.eng.Now(), 0)
 	rt.done = done
 	rt.start()
 }

@@ -17,16 +17,15 @@ type CPU struct {
 	Util  Tracker
 }
 
-// NewCPU creates a processor with the given core count on sched (the serial
-// engine, or the machine's lane in a sharded run).
-func NewCPU(sched sim.Scheduler, cores int) *CPU {
-	return NewCPUWithSpeed(sched, cores, 1)
+// NewCPU creates a processor with the given core count on eng.
+func NewCPU(eng *sim.Engine, cores int) *CPU {
+	return NewCPUWithSpeed(eng, cores, 1)
 }
 
 // NewCPUWithSpeed creates a processor whose cores run at `speed` times the
 // reference rate — the heterogeneity/straggler knob (a degraded machine has
 // speed < 1).
-func NewCPUWithSpeed(sched sim.Scheduler, cores int, speed float64) *CPU {
+func NewCPUWithSpeed(eng *sim.Engine, cores int, speed float64) *CPU {
 	if cores <= 0 {
 		panic("resource: CPU needs at least one core")
 	}
@@ -34,7 +33,7 @@ func NewCPUWithSpeed(sched sim.Scheduler, cores int, speed float64) *CPU {
 		panic("resource: CPU speed must be positive")
 	}
 	c := &CPU{cores: cores, speed: speed}
-	c.srv = newServer(sched,
+	c.srv = newServer(eng,
 		func(readers, writers int) float64 {
 			k := readers + writers
 			if k < cores {
@@ -47,14 +46,10 @@ func NewCPUWithSpeed(sched sim.Scheduler, cores int, speed float64) *CPU {
 			if busy > float64(cores) {
 				busy = float64(cores)
 			}
-			c.Util.Set(c.srv.sched.Now(), busy/float64(cores))
+			c.Util.Set(eng.Now(), busy/float64(cores))
 		})
 	return c
 }
-
-// SetScheduler rebinds the processor to a different timeline — the cluster's
-// sharding hook. Only legal while idle.
-func (c *CPU) SetScheduler(sched sim.Scheduler) { c.srv.setScheduler(sched) }
 
 // Cores reports the core count.
 func (c *CPU) Cores() int { return c.cores }

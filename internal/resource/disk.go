@@ -73,10 +73,10 @@ func DefaultSSD() DiskSpec {
 // approximates a per-operation positioning cost without simulating head
 // movement.
 type Disk struct {
-	spec  DiskSpec
-	srv   *server
-	sched sim.Scheduler
-	Util  Tracker
+	spec DiskSpec
+	srv  *server
+	eng  *sim.Engine
+	Util Tracker
 
 	bytesRead    int64
 	bytesWritten int64
@@ -87,9 +87,8 @@ type Disk struct {
 	WriteCum Tracker
 }
 
-// NewDisk creates a drive on sched (the serial engine, or the machine's lane
-// in a sharded run).
-func NewDisk(sched sim.Scheduler, spec DiskSpec) *Disk {
+// NewDisk creates a drive on eng.
+func NewDisk(eng *sim.Engine, spec DiskSpec) *Disk {
 	if spec.SeqBW <= 0 {
 		panic("resource: disk needs positive bandwidth")
 	}
@@ -107,7 +106,7 @@ func NewDisk(sched sim.Scheduler, spec DiskSpec) *Disk {
 			spec.StreamFloorFrac = 0.85
 		}
 	}
-	d := &Disk{spec: spec, sched: sched}
+	d := &Disk{spec: spec, eng: eng}
 	aggregate := func(readers, writers int) float64 {
 		k := readers + writers
 		switch spec.Kind {
@@ -128,22 +127,15 @@ func NewDisk(sched sim.Scheduler, spec DiskSpec) *Disk {
 			return spec.SeqBW * float64(k) / float64(spec.SaturationOps)
 		}
 	}
-	d.srv = newServer(sched, aggregate,
+	d.srv = newServer(eng, aggregate,
 		func(k int) {
 			v := 0.0
 			if k > 0 {
 				v = 1.0
 			}
-			d.Util.Set(d.sched.Now(), v)
+			d.Util.Set(eng.Now(), v)
 		})
 	return d
-}
-
-// SetScheduler rebinds the drive to a different timeline — the cluster's
-// sharding hook. Only legal while idle.
-func (d *Disk) SetScheduler(sched sim.Scheduler) {
-	d.srv.setScheduler(sched)
-	d.sched = sched
 }
 
 // Spec returns the drive's parameters.
@@ -183,12 +175,12 @@ func (d *Disk) WriteStream(bytes int64, done func()) *Job {
 
 func (d *Disk) countRead(bytes int64) {
 	d.bytesRead += bytes
-	d.ReadCum.Set(d.sched.Now(), float64(d.bytesRead))
+	d.ReadCum.Set(d.eng.Now(), float64(d.bytesRead))
 }
 
 func (d *Disk) countWrite(bytes int64) {
 	d.bytesWritten += bytes
-	d.WriteCum.Set(d.sched.Now(), float64(d.bytesWritten))
+	d.WriteCum.Set(d.eng.Now(), float64(d.bytesWritten))
 }
 
 // SetSpeedFactor rescales the drive to factor times its configured bandwidth

@@ -70,7 +70,7 @@ func (st *MemStream) Remaining() float64 { return st.remaining }
 // in (the property the memory property tests pin).
 type Memory struct {
 	spec  MemorySpec
-	sched sim.Scheduler
+	eng   *sim.Engine
 	speed float64 // dynamic degradation factor, 1 = nominal
 
 	streams    []*MemStream
@@ -99,33 +99,22 @@ type Memory struct {
 	onGC     func(pause sim.Duration)
 }
 
-// NewMemory builds the memory model for one machine on sched (the serial
-// engine, or the machine's lane in a sharded run). The spec must have a
+// NewMemory builds the memory model for one machine. The spec must have a
 // positive bandwidth ceiling — callers gate on MemorySpec.Enabled.
-func NewMemory(sched sim.Scheduler, spec MemorySpec) *Memory {
+func NewMemory(eng *sim.Engine, spec MemorySpec) *Memory {
 	if spec.BandwidthBPS <= 0 {
 		panic("resource: memory needs positive bandwidth (gate on MemorySpec.Enabled)")
 	}
 	if spec.CapacityBytes < 0 || spec.GCEveryBytes < 0 || spec.GCPauseSec < 0 {
 		panic("resource: negative memory spec knob")
 	}
-	m := &Memory{spec: spec, sched: sched, speed: 1}
+	m := &Memory{spec: spec, eng: eng, speed: 1}
 	m.completeFn = m.complete
 	if spec.GCEveryBytes > 0 {
 		m.gcRNG = rand.New(rand.NewSource(spec.GCSeed))
 		m.nextGC = m.gcGap()
 	}
 	return m
-}
-
-// SetScheduler rebinds the memory model to a different timeline — the
-// cluster's sharding hook. Only legal while no stream is in flight.
-func (m *Memory) SetScheduler(sched sim.Scheduler) {
-	if len(m.streams) > 0 || m.completion.Scheduled() {
-		panic("resource: scheduler rebind with streams in flight")
-	}
-	m.sched = sched
-	m.lastUpdate = sched.Now()
 }
 
 // Spec returns the configuration the model was built with.
@@ -227,12 +216,12 @@ func (m *Memory) recycle(st *MemStream) {
 // Zero-byte streams complete on the next event dispatch.
 func (m *Memory) Stream(bytes int64, demandBPS float64, done func()) *MemStream {
 	m.bytesMoved += bytes
-	m.TrafficCum.Set(m.sched.Now(), float64(m.bytesMoved))
+	m.TrafficCum.Set(m.eng.Now(), float64(m.bytesMoved))
 	m.advance()
 	if bytes <= 0 {
 		m.nextSeq++
 		st := &MemStream{demand: demandBPS, done: done, seq: m.nextSeq, index: -1}
-		m.sched.After(0, done)
+		m.eng.After(0, done)
 		return st
 	}
 	st := m.newStream(float64(bytes), demandBPS, done)
@@ -292,7 +281,7 @@ func (m *Memory) SetSpeedFactor(factor float64) {
 // advance drains every stream at its current rate since the last update.
 // Must be called before any membership or rate change.
 func (m *Memory) advance() {
-	now := m.sched.Now()
+	now := m.eng.Now()
 	dt := float64(now - m.lastUpdate)
 	m.lastUpdate = now
 	if dt <= 0 || len(m.streams) == 0 {
@@ -319,7 +308,7 @@ func (m *Memory) advance() {
 // independent.
 func (m *Memory) rerate() {
 	n := len(m.streams)
-	now := m.sched.Now()
+	now := m.eng.Now()
 	if n == 0 {
 		m.Util.Set(now, 0)
 		return
@@ -378,7 +367,7 @@ func (m *Memory) rerate() {
 // smallest. Rates differ per stream (caps), so the minimum is over times,
 // not remaining work.
 func (m *Memory) reschedule() {
-	m.sched.Cancel(m.completion)
+	m.eng.Cancel(m.completion)
 	m.completion = sim.EventRef{}
 	if len(m.streams) == 0 {
 		return
@@ -392,7 +381,7 @@ func (m *Memory) reschedule() {
 			minT = t
 		}
 	}
-	m.completion = m.sched.After(sim.Duration(minT), m.completeFn)
+	m.completion = m.eng.After(sim.Duration(minT), m.completeFn)
 }
 
 // complete retires every drained stream, reallocates, and fires callbacks in

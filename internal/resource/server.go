@@ -49,7 +49,7 @@ func (j *Job) Remaining() float64 { return j.remaining }
 // free list, and the completion callback passed to the engine is bound once
 // at construction instead of per reschedule.
 type server struct {
-	sched      sim.Scheduler
+	eng        *sim.Engine
 	aggregate  AggregateFunc
 	speed      float64 // dynamic degradation factor, 1 = nominal
 	jobs       []*Job
@@ -65,16 +65,16 @@ type server struct {
 	pauseEnd sim.Time
 	resumeEv sim.EventRef
 	resumeFn func() // s.resume, bound once
-	finished   []*Job // reusable scratch for complete()
-	pool       []*Job // recycled Job structs
+	finished []*Job // reusable scratch for complete()
+	pool     []*Job // recycled Job structs
 	// onCount is invoked whenever the in-service job count changes, with the
 	// new count; devices use it to drive their utilization trackers.
 	onCount func(k int)
 }
 
-func newServer(sched sim.Scheduler, aggregate AggregateFunc, onCount func(k int)) *server {
+func newServer(eng *sim.Engine, aggregate AggregateFunc, onCount func(k int)) *server {
 	s := &server{
-		sched:     sched,
+		eng:       eng,
 		aggregate: aggregate,
 		speed:     1,
 		onCount:   onCount,
@@ -82,18 +82,6 @@ func newServer(sched sim.Scheduler, aggregate AggregateFunc, onCount func(k int)
 	s.completeFn = s.complete
 	s.resumeFn = s.resume
 	return s
-}
-
-// setScheduler rebinds the server to a different timeline — the cluster's
-// sharding hook, moving a machine's devices onto its lane (and back). Only
-// legal while the server is idle: a pending completion or pause event lives
-// on the old timeline and could not be cancelled through the new one.
-func (s *server) setScheduler(sched sim.Scheduler) {
-	if len(s.jobs) > 0 || s.completion.Scheduled() || s.paused {
-		panic("resource: scheduler rebind with work in flight")
-	}
-	s.sched = sched
-	s.lastUpdate = sched.Now()
 }
 
 // pause halts all service for d of virtual time from now — a stop-the-world
@@ -105,19 +93,19 @@ func (s *server) pause(d sim.Duration) {
 		return
 	}
 	s.advance()
-	end := s.sched.Now() + sim.Time(d)
+	end := s.eng.Now() + sim.Time(d)
 	if s.paused {
 		if end <= s.pauseEnd {
 			return
 		}
-		s.sched.Cancel(s.resumeEv)
+		s.eng.Cancel(s.resumeEv)
 	} else {
 		s.paused = true
-		s.sched.Cancel(s.completion)
+		s.eng.Cancel(s.completion)
 		s.completion = sim.EventRef{}
 	}
 	s.pauseEnd = end
-	s.resumeEv = s.sched.After(sim.Duration(end-s.sched.Now()), s.resumeFn)
+	s.resumeEv = s.eng.After(sim.Duration(end-s.eng.Now()), s.resumeFn)
 }
 
 // resume ends a pause: time spent stalled drained nothing (advance sees a
@@ -157,7 +145,7 @@ func (s *server) newJob(work float64, class int, done func()) *Job {
 	j.total = work
 	j.class = class
 	j.done = done
-	j.started = s.sched.Now()
+	j.started = s.eng.Now()
 	j.seq = s.nextSeq
 	j.index = -1
 	return j
@@ -184,8 +172,8 @@ func (s *server) AddClass(work float64, class int, done func()) *Job {
 		// Zero-work jobs never enter service, so the caller-held struct is
 		// never recycled (a pool slot would alias a future job).
 		s.nextSeq++
-		j := &Job{class: class, done: done, started: s.sched.Now(), seq: s.nextSeq, index: -1}
-		s.sched.After(0, done)
+		j := &Job{class: class, done: done, started: s.eng.Now(), seq: s.nextSeq, index: -1}
+		s.eng.After(0, done)
 		return j
 	}
 	j := s.newJob(work, class, done)
@@ -243,7 +231,7 @@ func (s *server) perJobRate() float64 {
 // advance deducts the work completed since the last update from every
 // in-service job. It must be called before any membership change.
 func (s *server) advance() {
-	now := s.sched.Now()
+	now := s.eng.Now()
 	dt := float64(now - s.lastUpdate)
 	s.lastUpdate = now
 	if dt <= 0 || len(s.jobs) == 0 {
@@ -266,7 +254,7 @@ func (s *server) advance() {
 // job that will finish first (all jobs drain at the same rate, so that is
 // the one with the least remaining work).
 func (s *server) reschedule() {
-	s.sched.Cancel(s.completion)
+	s.eng.Cancel(s.completion)
 	s.completion = sim.EventRef{}
 	if len(s.jobs) == 0 || s.paused {
 		// While paused no job makes progress; resume() reschedules.
@@ -282,7 +270,7 @@ func (s *server) reschedule() {
 	if rate <= 0 {
 		panic("resource: server with jobs but zero aggregate rate")
 	}
-	s.completion = s.sched.After(sim.Duration(minRemaining/rate), s.completeFn)
+	s.completion = s.eng.After(sim.Duration(minRemaining/rate), s.completeFn)
 }
 
 // complete retires every job whose work has drained to zero, then

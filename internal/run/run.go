@@ -73,14 +73,6 @@ type Options struct {
 	// callers use to collect the snapshot ring. Only called when Telemetry is
 	// set.
 	OnTelemetry func(*telemetry.Sampler)
-	// Shards, when above 1, runs the simulation on the sharded engine:
-	// machines are partitioned into that many shards (clamped to the machine
-	// count), each advancing its own event timeline up to a lookahead horizon
-	// derived from the cluster topology (cluster.LookaheadHorizon), with
-	// cross-shard effects synchronized at fabric boundaries. Sharding is an
-	// execution strategy, not a model change — results are bit-identical to
-	// the serial engine at any shard count (TestGoldenShardedVsSerial).
-	Shards int
 	// Deadline, when positive, bounds the run in virtual time: once the
 	// simulation clock passes it the run aborts with an *AbortError carrying
 	// the partial results accumulated so far.
@@ -172,38 +164,6 @@ func finishAborted(e *sim.Engine, d *jobsched.Driver) error {
 	return aerr
 }
 
-// applySharding configures the cluster's engine per Options.Shards. A value
-// of 1 explicitly selects the windowed scheduler with a single shard (useful
-// for isolating windowing overhead from parallelism); 0 selects the plain
-// serial scheduler, dropping any lane layer a previous run on a reused
-// engine configured (production runs drain every lane before finishing, so
-// this never orphans events).
-//
-// Sharding is only applied to monotasks-mode runs. The pipelined executor
-// interleaves chunk-granularity cross-machine work — every ChunkBytes a task
-// may call into a peer's disks with zero virtual delay, far below any
-// achievable lookahead window — so lane-affine execution cannot reproduce
-// the serial event order for it. Rather than silently diverge, pipelined
-// runs always use the serial scheduler; EffectiveShards reports the outcome.
-func applySharding(c *cluster.Cluster, o Options) {
-	if s := o.EffectiveShards(); s > 0 {
-		c.ConfigureSharding(s)
-		return
-	}
-	c.DisableSharding()
-}
-
-// EffectiveShards is the shard count a run with these options actually uses:
-// Shards for monotasks-mode runs, 0 (serial) otherwise. Diagnostic surfaces
-// (the what-if service's /stats, monoperf) report this rather than the
-// requested value.
-func (o Options) EffectiveShards() int {
-	if o.Shards > 0 && o.Mode == Monotasks {
-		return o.Shards
-	}
-	return 0
-}
-
 // startTelemetry attaches a sampler per Options, returning a finish hook.
 func (o Options) startTelemetry(c *cluster.Cluster, d *jobsched.Driver) func() {
 	if o.Telemetry == nil {
@@ -279,7 +239,6 @@ func Jobs(c *cluster.Cluster, fs *dfs.FS, o Options, specs ...*task.JobSpec) ([]
 // loop, so an un-cancelled run is byte-identical to one executed without a
 // context.
 func JobsContext(ctx context.Context, c *cluster.Cluster, fs *dfs.FS, o Options, specs ...*task.JobSpec) ([]*task.JobMetrics, error) {
-	applySharding(c, o)
 	d, err := Driver(c, fs, o)
 	if err != nil {
 		return nil, err
@@ -330,7 +289,6 @@ func JobsAtContext(ctx context.Context, c *cluster.Cluster, fs *dfs.FS, o Option
 			return nil, fmt.Errorf("run: submission %d (%q) arrives at t=%v, before the cluster clock %v", i, s.Spec.Name, s.At, c.Engine.Now())
 		}
 	}
-	applySharding(c, o)
 	d, err := Driver(c, fs, o)
 	if err != nil {
 		return nil, err

@@ -71,32 +71,6 @@ func TestJobsRunsConcurrently(t *testing.T) {
 	}
 }
 
-// TestShardsZeroRestoresSerialMode pins applySharding's contract on a reused
-// cluster (the whatifsvc session pattern): a Shards=0 run after a Shards>0
-// run drops the lane layer instead of leaving the windowed scheduler — and
-// its per-global-event lane scan — configured.
-func TestShardsZeroRestoresSerialMode(t *testing.T) {
-	c := cluster.MustNew(2, cluster.M2_4XLarge())
-	fs, _ := dfs.New(dfs.Config{Machines: 2, DisksPerMachine: 2})
-	mk := func(name string) *task.JobSpec {
-		return &task.JobSpec{Name: name, Stages: []*task.StageSpec{
-			{ID: 0, Name: name, NumTasks: 4, OpCPU: 1},
-		}}
-	}
-	if _, err := Jobs(c, fs, Options{Mode: Monotasks, Shards: 2}, mk("a")); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Engine.ShardCount(); got != 2 {
-		t.Fatalf("ShardCount after sharded run = %d, want 2", got)
-	}
-	if _, err := Jobs(c, fs, Options{Mode: Monotasks}, mk("b")); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Engine.ShardCount(); got != 0 {
-		t.Fatalf("ShardCount after Shards=0 run = %d, want 0 (serial mode restored)", got)
-	}
-}
-
 func TestJobsAtHonoursArrivalSchedule(t *testing.T) {
 	c := cluster.MustNew(2, cluster.M2_4XLarge())
 	fs, _ := dfs.New(dfs.Config{Machines: 2, DisksPerMachine: 2})

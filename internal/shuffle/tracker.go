@@ -148,39 +148,3 @@ func keyLess(a, b fetchKey) bool {
 func (tr *Tracker) Clear(stageID int) {
 	delete(tr.byStage, stageID)
 }
-
-// MinFetchBytes reports the smallest nonzero per-reducer fetch any reducer of
-// a numReducers-wide child stage could plan against the currently registered
-// map outputs. FetchesFor gives remainder bytes to the lowest-indexed
-// reducers, so the smallest fetch an output actually produces is its floor
-// share — or a single remainder byte when the floor is zero (zero-byte
-// fetches are never planned). Zero when nothing is registered.
-//
-// This is the shuffle layer's boundary export for the sharded engine: the
-// soonest a shuffle boundary can move data between machines is this many
-// bytes over the fastest link (netsim.Fabric.MinTransferLatency), so a
-// scheduler that knows the upcoming stage widths can tighten its lookahead
-// horizon beyond the static one-byte floor cluster.LookaheadHorizon assumes.
-func (tr *Tracker) MinFetchBytes(numReducers int) int64 {
-	if numReducers <= 0 {
-		return 0
-	}
-	var min int64
-	for _, stage := range tr.byStage {
-		for _, st := range stage {
-			if st.bytes <= 0 {
-				continue
-			}
-			per := st.bytes / int64(numReducers)
-			if per == 0 {
-				// Fewer bytes than reducers: the low-indexed reducers each
-				// fetch one remainder byte, the rest fetch nothing.
-				per = 1
-			}
-			if min == 0 || per < min {
-				min = per
-			}
-		}
-	}
-	return min
-}

@@ -110,66 +110,6 @@ func TestStageOutputBytesAndClear(t *testing.T) {
 	}
 }
 
-// TestMinFetchBytesIsFloorShare pins MinFetchBytes to what FetchesFor
-// actually plans: 10 bytes over 3 reducers splits 4/3/3, so the smallest
-// real fetch — and the bound — is the floor share 3, not the rounded-up 4.
-// With fewer bytes than reducers the smallest planned fetch is one remainder
-// byte.
-func TestMinFetchBytesIsFloorShare(t *testing.T) {
-	tr := NewTracker()
-	tr.RegisterMapOutput(0, 0, 0, 10, false)
-	if got := tr.MinFetchBytes(3); got != 3 {
-		t.Fatalf("MinFetchBytes(3) = %d, want 3 (floor of 10/3)", got)
-	}
-	tr.Clear(0)
-	tr.RegisterMapOutput(0, 0, 0, 2, false)
-	if got := tr.MinFetchBytes(3); got != 1 {
-		t.Fatalf("MinFetchBytes(3) = %d, want 1 (remainder byte)", got)
-	}
-	if got := tr.MinFetchBytes(0); got != 0 {
-		t.Fatalf("MinFetchBytes(0) = %d, want 0", got)
-	}
-}
-
-// Property: MinFetchBytes never exceeds any fetch FetchesFor plans, so a
-// lookahead horizon derived from it stays conservative — no real transfer
-// can complete inside a window the bound opened.
-func TestPropertyMinFetchBytesLowerBoundsFetches(t *testing.T) {
-	f := func(sizes []uint16, reducersRaw uint8) bool {
-		numReducers := int(reducersRaw)%16 + 1
-		tr := NewTracker()
-		anyBytes := false
-		for i, s := range sizes {
-			tr.RegisterMapOutput(0, i, i%5, int64(s), i%2 == 0)
-			if s > 0 {
-				anyBytes = true
-			}
-		}
-		min := tr.MinFetchBytes(numReducers)
-		if !anyBytes {
-			return min == 0
-		}
-		if min <= 0 {
-			return false
-		}
-		for r := 0; r < numReducers; r++ {
-			fs, err := tr.FetchesFor([]int{0}, r, numReducers)
-			if err != nil {
-				return false
-			}
-			for _, fe := range fs {
-				if fe.Bytes < min {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: the sum of all reducers' fetch bytes equals the total registered
 // map output, for any number of maps, machines, and reducers.
 func TestPropertyConservation(t *testing.T) {

@@ -13,12 +13,6 @@
 // After hand out EventRef value handles that carry the struct's generation;
 // a stale handle — one whose event already fired or was cancelled — is
 // detected by the generation check and Cancel ignores it.
-//
-// Beyond the single serial timeline, an engine can be configured with shard
-// lanes (ConfigureShards): independent per-lane event queues that advance in
-// parallel up to a conservative lookahead horizon, synchronizing only where
-// events cross lanes. See shard.go for the window protocol and its
-// determinism argument.
 package sim
 
 import (
@@ -38,55 +32,6 @@ type Duration = Time
 // Forever is a sentinel time later than any event the engine will execute.
 const Forever Time = math.MaxFloat64
 
-// keyCell is one link in an event's causal key (see Event.cell): the
-// instant the event was inserted, which event's callback inserted it
-// (parent, nil for setup-context roots), and the insertion's index among
-// the parent's insertions. Cells are immutable and shared — an event's cell
-// points at its parent's — so a cell chain is the event's full scheduling
-// ancestry.
-type keyCell struct {
-	parent *keyCell
-	at     Time
-	idx    uint64
-}
-
-// cellCompare orders two causal keys exactly as a serial engine's insertion
-// sequence numbers would order the corresponding events. A serial engine
-// numbers insertions in execution order, so event a was inserted before
-// event b iff a was inserted at an earlier instant, or at the same instant
-// by an earlier-ordered parent (recursively this same order), or by the same
-// parent at a smaller call index. The walk toward the roots terminates at
-// the first differing instant, at a shared parent (pointer equality — also
-// the common case, siblings), or at the setup roots (nil parents, ordered by
-// their root index). Distinct cells never compare equal: a parent's
-// insertion indices are unique.
-func cellCompare(a, b *keyCell) int {
-	for {
-		if a == b {
-			return 0
-		}
-		if a == nil {
-			return -1
-		}
-		if b == nil {
-			return 1
-		}
-		if a.at != b.at {
-			if a.at < b.at {
-				return -1
-			}
-			return 1
-		}
-		if a.parent == b.parent {
-			if a.idx < b.idx {
-				return -1
-			}
-			return 1
-		}
-		a, b = a.parent, b.parent
-	}
-}
-
 // Event is one scheduled callback's storage. Event structs are pooled: after
 // an event fires or is cancelled its struct is recycled for a later At call,
 // so holding a *Event across its firing is unsafe — that is why the engine
@@ -97,16 +42,6 @@ type Event struct {
 	index int // heap index, -1 once removed
 	gen   uint32
 	fn    func()
-	owner *eventQueue // the queue whose free list recycles this struct
-
-	// Causal key, used only by sharded runs (see Lane.Global and
-	// cellCompare). It reconstructs the serial engine's insertion-order
-	// tie-break for same-instant events without a globally shared counter:
-	// the cell records when and by whom the event was scheduled, and chains
-	// of cells compare exactly as serial insertion sequence numbers do. Nil
-	// on unsharded engines — the serial scheduler orders by its own (at,
-	// seq) and never consults it.
-	cell *keyCell
 }
 
 // EventRef is a handle to a scheduled event, returned by At and After so
@@ -133,179 +68,15 @@ func (r EventRef) Time() Time {
 	return r.ev.at
 }
 
-// eventQueue is one deterministic timeline: an indexed binary min-heap on
-// (at, seq) with a pooled free list and its own sequence counter. The serial
-// engine owns one; every shard lane owns another, which is what lets lanes
-// advance concurrently — queues share no state, so there is no lock.
-type eventQueue struct {
-	pending []*Event // indexed binary min-heap on (at, seq)
-	free    []*Event // recycled Event structs
-	seq     uint64
-}
-
-// schedule enqueues fn at absolute time t and returns its handle. The caller
-// is responsible for the not-in-the-past check (the engine and lanes compare
-// against different clocks).
-func (q *eventQueue) schedule(t Time, fn func()) EventRef {
-	q.seq++
-	var ev *Event
-	if n := len(q.free); n > 0 {
-		ev = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-	} else {
-		// Grow the free list a block at a time: a fresh queue warms up with
-		// one allocation per 64 events instead of one per event, which matters
-		// because every sweep cell builds its own engine.
-		block := make([]Event, 64)
-		for i := 1; i < len(block); i++ {
-			block[i].index = -1
-			block[i].owner = q
-			q.free = append(q.free, &block[i])
-		}
-		block[0].index = -1
-		block[0].owner = q
-		ev = &block[0]
-	}
-	ev.at = t
-	ev.seq = q.seq
-	ev.fn = fn
-	ev.index = len(q.pending)
-	q.pending = append(q.pending, ev)
-	q.siftUp(ev.index)
-	return EventRef{ev: ev, gen: ev.gen}
-}
-
-// remove cancels a pending event; zero and stale refs are no-ops.
-func (q *eventQueue) remove(r EventRef) {
-	if !r.Scheduled() {
-		return
-	}
-	ev := r.ev
-	i := ev.index
-	n := len(q.pending) - 1
-	if i != n {
-		q.pending[i] = q.pending[n]
-		q.pending[i].index = i
-	}
-	q.pending[n] = nil
-	q.pending = q.pending[:n]
-	if i != n {
-		if !q.siftDown(i) {
-			q.siftUp(i)
-		}
-	}
-	q.recycle(ev)
-}
-
-// pop removes and returns the earliest pending event, or nil when the queue
-// is empty. The caller must recycle the struct after reading it.
-func (q *eventQueue) pop() *Event {
-	if len(q.pending) == 0 {
-		return nil
-	}
-	ev := q.pending[0]
-	n := len(q.pending) - 1
-	if n > 0 {
-		q.pending[0] = q.pending[n]
-		q.pending[0].index = 0
-	}
-	q.pending[n] = nil
-	q.pending = q.pending[:n]
-	if n > 1 {
-		q.siftDown(0)
-	}
-	return ev
-}
-
-// peek reports the earliest pending time, or Forever when empty.
-func (q *eventQueue) peek() Time {
-	if len(q.pending) == 0 {
-		return Forever
-	}
-	return q.pending[0].at
-}
-
-// recycle retires an event struct to the free list, bumping its generation so
-// stale EventRefs can no longer reach it. The causal key is dropped so the
-// struct does not pin a retired event's ancestry chain in memory.
-func (q *eventQueue) recycle(ev *Event) {
-	ev.index = -1
-	ev.fn = nil
-	ev.cell = nil
-	ev.gen++
-	q.free = append(q.free, ev)
-}
-
-// len reports the number of pending events.
-func (q *eventQueue) len() int { return len(q.pending) }
-
-// less orders events by (time, seq) — the determinism tie-break.
-func (q *eventQueue) less(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// siftUp restores the heap invariant upward from index i.
-func (q *eventQueue) siftUp(i int) {
-	h := q.pending
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(ev, h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		h[i].index = i
-		i = parent
-	}
-	h[i] = ev
-	ev.index = i
-}
-
-// siftDown restores the heap invariant downward from index i, reporting
-// whether the element moved.
-func (q *eventQueue) siftDown(i int) bool {
-	h := q.pending
-	n := len(h)
-	ev := h[i]
-	start := i
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if right := child + 1; right < n && q.less(h[right], h[child]) {
-			child = right
-		}
-		if !q.less(h[child], ev) {
-			break
-		}
-		h[i] = h[child]
-		h[i].index = i
-		i = child
-	}
-	h[i] = ev
-	ev.index = i
-	return i != start
-}
-
 // Engine is a discrete-event simulator. The zero value is not usable; create
-// one with NewEngine. Engines are not safe for concurrent use: the global
-// timeline is single-threaded by design, which is what makes it
-// deterministic. (Shard lanes, when configured, run concurrently — but only
-// inside Run's window protocol, never against caller goroutines.)
+// one with NewEngine. Engines are not safe for concurrent use: the simulation
+// is single-threaded by design, which is what makes it deterministic.
 type Engine struct {
 	now     Time
-	q       eventQueue // the global timeline
+	seq     uint64
+	pending []*Event // indexed binary min-heap on (at, seq)
+	free    []*Event // recycled Event structs
 	running bool
-
-	// shards, when non-nil, switches Run to the conservative windowed
-	// scheduler over the configured lanes (see shard.go). Global events keep
-	// their exact serial semantics either way.
-	shards *shardSet
 
 	// Cooperative cancellation: Run polls abortCheck every abortEvery events
 	// and stops early (recording abortErr) when it returns non-nil. The check
@@ -315,42 +86,6 @@ type Engine struct {
 	abortCheck func() error
 	abortEvery int
 	abortErr   error
-
-	// Occupancy accounting (see OccupancyStats): events executed on shard
-	// lanes vs. the global timeline, and parallel windows opened. One counter
-	// bump per event is invisible next to the dispatch itself, and it is what
-	// lets the lane-affinity migration assert it hasn't silently regressed.
-	laneExec   uint64
-	globalExec uint64
-	windows    uint64
-
-	// Causal-key state for sharded runs (see Event.cell). curCell is the key
-	// of the global event currently executing and inGlobal is true while one
-	// runs: an escaped lane event's reaction executes on the global
-	// timeline, but causally it belongs to the lane chain that posted it —
-	// in a serial run the reaction code runs inline inside (or is scheduled
-	// by) the emitting event — so work it schedules must be parented under
-	// the escaping chain, not start a fresh root. callCtr numbers the
-	// executing event's insertions; rootCtr numbers setup-context roots.
-	// Only coordinator context touches these — single-threaded and
-	// deterministic — so key assignment is identical at any shard count.
-	curCell  *keyCell
-	callCtr  uint64
-	rootCtr  uint64
-	inGlobal bool
-}
-
-// childCellGlobal is the causal key for work scheduled from coordinator
-// context (see Event.cell): a child of the currently executing global event
-// when there is one, otherwise — setup code between runs — a fresh root
-// ordered by the deterministic root counter.
-func (e *Engine) childCellGlobal() *keyCell {
-	if e.inGlobal {
-		e.callCtr++
-		return &keyCell{parent: e.curCell, at: e.now, idx: e.callCtr}
-	}
-	e.rootCtr++
-	return &keyCell{at: e.now, idx: e.rootCtr}
 }
 
 // DefaultAbortInterval is how many events Run executes between abort-check
@@ -374,14 +109,31 @@ func (e *Engine) At(t Time, fn func()) EventRef {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ref := e.q.schedule(t, fn)
-	if e.shards != nil {
-		// Global events carry causal keys too: their callbacks may schedule
-		// lane work, and that work's merge order must reflect this event's
-		// own position in the serial insertion order.
-		ref.ev.cell = e.childCellGlobal()
+	e.seq++
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		// Grow the free list a block at a time: a fresh engine warms up with
+		// one allocation per 64 events instead of one per event, which matters
+		// because every sweep cell builds its own engine.
+		block := make([]Event, 64)
+		for i := 1; i < len(block); i++ {
+			block[i].index = -1
+			e.free = append(e.free, &block[i])
+		}
+		block[0].index = -1
+		ev = &block[0]
 	}
-	return ref
+	ev.at = t
+	ev.seq = e.seq
+	ev.fn = fn
+	ev.index = len(e.pending)
+	e.pending = append(e.pending, ev)
+	e.siftUp(ev.index)
+	return EventRef{ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d seconds from now.
@@ -395,41 +147,61 @@ func (e *Engine) After(d Duration, fn func()) EventRef {
 // Cancel removes a pending event. Cancelling a zero or stale ref — one whose
 // event already fired or was already cancelled — is a no-op, which lets
 // device models cancel their provisional completion events unconditionally.
-// Refs from shard lanes are routed to their owning lane's queue, so a lane
-// callback may cancel its own lane's events through either handle.
 func (e *Engine) Cancel(r EventRef) {
 	if !r.Scheduled() {
 		return
 	}
-	r.ev.owner.remove(r)
-}
-
-// Len reports the number of pending events, shard lanes included. Not safe
-// to call from inside a lane callback while a window executes.
-func (e *Engine) Len() int {
-	n := e.q.len()
-	if e.shards != nil {
-		for _, ln := range e.shards.lanes {
-			n += ln.q.len()
+	ev := r.ev
+	i := ev.index
+	n := len(e.pending) - 1
+	if i != n {
+		e.pending[i] = e.pending[n]
+		e.pending[i].index = i
+	}
+	e.pending[n] = nil
+	e.pending = e.pending[:n]
+	if i != n {
+		if !e.siftDown(i) {
+			e.siftUp(i)
 		}
 	}
-	return n
+	e.recycle(ev)
 }
 
-// Step executes the single earliest pending global event and returns true,
-// or returns false if none remain. Shard lanes are advanced only by Run;
-// Step is the serial-timeline primitive benchmarks and harnesses drive.
+// recycle retires an event struct to the free list, bumping its generation so
+// stale EventRefs can no longer reach it.
+func (e *Engine) recycle(ev *Event) {
+	ev.index = -1
+	ev.fn = nil
+	ev.gen++
+	e.free = append(e.free, ev)
+}
+
+// Len reports the number of pending events.
+func (e *Engine) Len() int { return len(e.pending) }
+
+// Step executes the single earliest pending event and returns true, or
+// returns false if no events remain.
 func (e *Engine) Step() bool {
-	ev := e.q.pop()
-	if ev == nil {
+	if len(e.pending) == 0 {
 		return false
+	}
+	ev := e.pending[0]
+	n := len(e.pending) - 1
+	if n > 0 {
+		e.pending[0] = e.pending[n]
+		e.pending[0].index = 0
+	}
+	e.pending[n] = nil
+	e.pending = e.pending[:n]
+	if n > 1 {
+		e.siftDown(0)
 	}
 	e.now = ev.at
 	fn := ev.fn
 	// Recycle before running the callback: the callback frequently schedules
 	// the device's next completion, which can then reuse this struct.
-	e.q.recycle(ev)
-	e.globalExec++
+	e.recycle(ev)
 	fn()
 	return true
 }
@@ -464,19 +236,13 @@ func (e *Engine) ClearAbort() { e.abortErr = nil }
 
 // Run executes events until none remain, or — when an abort check is
 // installed — until the check fails, leaving the remaining events pending
-// and the reason on AbortErr. With shard lanes configured the windowed
-// scheduler takes over (see shard.go); its global-event semantics, abort
-// cadence included, are identical to the serial loop below.
+// and the reason on AbortErr.
 func (e *Engine) Run() {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	if e.shards != nil {
-		e.runSharded()
-		return
-	}
 	if e.abortCheck == nil {
 		for e.Step() {
 		}
@@ -504,14 +270,65 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes global events with time ≤ t, then advances the clock to
-// t. Events scheduled later than t remain pending. Shard lanes are not
-// advanced — RunUntil is a serial-timeline harness primitive.
+// RunUntil executes events with time ≤ t, then advances the clock to t.
+// Events scheduled later than t remain pending.
 func (e *Engine) RunUntil(t Time) {
-	for e.q.peek() <= t {
+	for len(e.pending) > 0 && e.pending[0].at <= t {
 		e.Step()
 	}
 	if t > e.now {
 		e.now = t
 	}
+}
+
+// less orders events by (time, seq) — the determinism tie-break.
+func (e *Engine) less(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// siftUp restores the heap invariant upward from index i.
+func (e *Engine) siftUp(i int) {
+	h := e.pending
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.less(ev, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].index = i
+		i = parent
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// siftDown restores the heap invariant downward from index i, reporting
+// whether the element moved.
+func (e *Engine) siftDown(i int) bool {
+	h := e.pending
+	n := len(h)
+	ev := h[i]
+	start := i
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if right := child + 1; right < n && e.less(h[right], h[child]) {
+			child = right
+		}
+		if !e.less(h[child], ev) {
+			break
+		}
+		h[i] = h[child]
+		h[i].index = i
+		i = child
+	}
+	h[i] = ev
+	ev.index = i
+	return i != start
 }

@@ -13,19 +13,6 @@
 // tie-break and the capture path only reads simulator state, so runs with and
 // without telemetry execute identically, and the stream is bit-identical
 // across repeated runs and across sweep --parallel worker counts.
-//
-// Sharded runs: the sampler's recurring tick is a global event, and the
-// sharded engine (sim.Engine.ConfigureShards) caps every parallel window at
-// min(lane lookahead horizon, next global event). Sampling therefore bounds
-// window length — each tick is a synchronization barrier where lanes drain,
-// stop, and hand control back to the coordinator so capture sees a
-// consistent cluster. At the default 1-second interval this is harmless
-// (device events outnumber ticks by orders of magnitude; windows stay
-// multi-event, pinned by TestGoldenSortSamplerWindowCadence in
-// internal/figures), but a sampler configured orders of magnitude hotter
-// than the device-event rate degenerates the schedule into one window per
-// tick and the sharded run executes serially with barrier overhead on top.
-// Keep Interval coarse relative to mean event spacing when sharding matters.
 package telemetry
 
 import (

@@ -99,11 +99,6 @@ type Request struct {
 	VirtualDeadlineSeconds float64 `json:"virtual_deadline_s,omitempty"`
 	// Telemetry asks for a summary of live utilization snapshots.
 	Telemetry bool `json:"telemetry,omitempty"`
-	// Shards, when above 1, runs the request's simulation on the sharded
-	// engine (that many shards, clamped to the machine count). Execution
-	// strategy only: responses are byte-identical at any value, so the memo
-	// fingerprint deliberately ignores it.
-	Shards int `json:"shards,omitempty"`
 }
 
 // ChaosKind is the workload kind that deliberately panics inside the
@@ -156,20 +151,34 @@ func (r *Request) Validate(chaosAllowed bool) error {
 	if w.Jobs < 0 || w.Jobs > MaxJobs {
 		return fmt.Errorf("whatifsvc: jobs %d outside [0, %d]", w.Jobs, MaxJobs)
 	}
-	for name, v := range map[string]int{
-		"values_per_key": w.ValuesPerKey, "map_tasks": w.MapTasks,
-		"reduce_tasks": w.ReduceTasks, "num_tasks": w.NumTasks,
+	// Fields are checked in declaration order, never by ranging over a map,
+	// so a request with several out-of-range fields gets the same error on
+	// every call.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"values_per_key", w.ValuesPerKey},
+		{"map_tasks", w.MapTasks},
+		{"reduce_tasks", w.ReduceTasks},
 	} {
-		if v < 0 || v > MaxTasksPerWave {
-			return fmt.Errorf("whatifsvc: %s %d outside [0, %d]", name, v, MaxTasksPerWave)
+		if f.v < 0 || f.v > MaxTasksPerWave {
+			return fmt.Errorf("whatifsvc: %s %d outside [0, %d]", f.name, f.v, MaxTasksPerWave)
 		}
 	}
-	for name, v := range map[string]float64{
-		"shuffle_fraction": w.ShuffleFraction, "output_fraction": w.OutputFraction,
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"shuffle_fraction", w.ShuffleFraction},
+		{"output_fraction", w.OutputFraction},
 	} {
-		if v < 0 || v > 1 {
-			return fmt.Errorf("whatifsvc: %s %v outside [0, 1]", name, v)
+		if f.v < 0 || f.v > 1 {
+			return fmt.Errorf("whatifsvc: %s %v outside [0, 1]", f.name, f.v)
 		}
+	}
+	if w.NumTasks < 0 || w.NumTasks > MaxTasksPerWave {
+		return fmt.Errorf("whatifsvc: num_tasks %d outside [0, %d]", w.NumTasks, MaxTasksPerWave)
 	}
 	if w.CPUPerByte < 0 || w.CPUPerByte > 1e-3 {
 		return fmt.Errorf("whatifsvc: cpu_per_byte %v outside [0, 1e-3]", w.CPUPerByte)
@@ -221,9 +230,6 @@ func (r *Request) Validate(chaosAllowed bool) error {
 		}
 	}
 
-	if r.Shards < 0 || r.Shards > MaxMachines {
-		return fmt.Errorf("whatifsvc: shards %d outside [0, %d]", r.Shards, MaxMachines)
-	}
 	if r.DeadlineMillis < 0 {
 		return fmt.Errorf("whatifsvc: deadline_ms %d is negative", r.DeadlineMillis)
 	}
@@ -235,11 +241,9 @@ func (r *Request) Validate(chaosAllowed bool) error {
 
 // Fingerprint canonicalizes everything that determines the response body —
 // workload, cluster, what-ifs, the virtual deadline, and the telemetry flag
-// — into a stable hash. Tenant, the wall-clock budget, and the shard count
-// are deliberately excluded: the first two shape admission, not results, and
-// sharding is an execution strategy with byte-identical output at any shard
-// count (TestGoldenShardedVsSerial), so requests differing only there share
-// a memo entry. The simulator is deterministic (no seed), which
+// — into a stable hash. Tenant and the wall-clock budget are deliberately
+// excluded: they shape admission, not results, so requests differing only
+// there share a memo entry. The simulator is deterministic (no seed), which
 // is what makes whole-run memoization sound: equal fingerprints imply
 // byte-identical bodies.
 func (r *Request) Fingerprint() string {

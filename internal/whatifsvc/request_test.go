@@ -27,6 +27,7 @@ func TestDecodeRequestStrict(t *testing.T) {
 		{"trailing data", validRequestJSON() + `{"second": "object"}`, false},
 		{"wrong type", `{"workload": "sort"}`, false},
 		{"oversized", `{"tenant": "` + strings.Repeat("x", MaxBodyBytes) + `"}`, false},
+		{"shards field", `{"workload": {"kind": "sort", "total_mb": 1}, "cluster": {"machines": 1}, "shards": 2}`, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,6 +86,25 @@ func TestValidateBounds(t *testing.T) {
 	r.Workload.Kind = ChaosKind
 	if err := r.Validate(true); err != nil {
 		t.Fatalf("chaos workload rejected with chaos enabled: %v", err)
+	}
+}
+
+// TestValidateErrorIsDeterministic: a request with several out-of-range
+// fields gets the same 400 body on every call, naming the first offending
+// field in declaration order.
+func TestValidateErrorIsDeterministic(t *testing.T) {
+	r := &Request{
+		Workload: WorkloadSpec{Kind: "sort", TotalMB: 64, MapTasks: -1, ReduceTasks: MaxTasksPerWave + 1},
+		Cluster:  ClusterSpec{Machines: 2},
+	}
+	for i := 0; i < 100; i++ {
+		err := r.Validate(false)
+		if err == nil {
+			t.Fatal("request with out-of-range task counts validated")
+		}
+		if !strings.Contains(err.Error(), "map_tasks") || strings.Contains(err.Error(), "reduce_tasks") {
+			t.Fatalf("call %d: %q, want the map_tasks error", i, err)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -65,23 +64,15 @@ type Service struct {
 	hits  atomic.Int64
 	runs  atomic.Int64
 	fails atomic.Int64
-	// shardRuns counts completed sessions by the shard configuration their
-	// engine actually used (run.Options.EffectiveShards; key "serial" for
-	// 0). Shards is deliberately excluded from the memo fingerprint, so the
-	// response body cannot say which engine mode served it — these counters
-	// and the X-Whatif-Shards header are the operator's only view.
-	shardMu   sync.Mutex
-	shardRuns map[int]int64
 }
 
 // New builds a Service.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	return &Service{
-		cfg:       cfg,
-		adm:       newAdmitter(cfg.MaxConcurrent, cfg.QueueDepth, cfg.TenantWeights),
-		memo:      newMemo(cfg.MemoEntries),
-		shardRuns: make(map[int]int64),
+		cfg:  cfg,
+		adm:  newAdmitter(cfg.MaxConcurrent, cfg.QueueDepth, cfg.TenantWeights),
+		memo: newMemo(cfg.MemoEntries),
 	}
 }
 
@@ -131,16 +122,6 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleStats(w http.ResponseWriter) {
 	running, waiting, shed := s.adm.Stats()
-	s.shardMu.Lock()
-	shardRuns := make(map[string]int64, len(s.shardRuns))
-	for shards, n := range s.shardRuns {
-		if shards == 0 {
-			shardRuns["serial"] = n
-		} else {
-			shardRuns[strconv.Itoa(shards)] = n
-		}
-	}
-	s.shardMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"running":          running,
 		"waiting":          waiting,
@@ -150,10 +131,6 @@ func (s *Service) handleStats(w http.ResponseWriter) {
 		"runs":             s.runs.Load(),
 		"failed_runs":      s.fails.Load(),
 		"p99_admission_ms": s.adm.P99Latency().Milliseconds(),
-		// shard_runs buckets completed sessions by effective engine mode
-		// ("serial" or the shard count). Memo hits are absent on purpose:
-		// a cached answer ran no engine at all.
-		"shard_runs": shardRuns,
 	})
 }
 
@@ -245,16 +222,6 @@ func (s *Service) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.memo.Put(fp, body)
-	s.shardMu.Lock()
-	s.shardRuns[resp.EffectiveShards]++
-	s.shardMu.Unlock()
-	// Which engine mode served this request, out of band: the body is
-	// memoizable and must stay byte-identical across shard configurations.
-	if resp.EffectiveShards > 0 {
-		w.Header().Set("X-Whatif-Shards", strconv.Itoa(resp.EffectiveShards))
-	} else {
-		w.Header().Set("X-Whatif-Shards", "serial")
-	}
 	s.writeResult(w, body, false, elapsed)
 }
 

@@ -71,14 +71,6 @@ type Response struct {
 	// Aborted marks a partial answer: the virtual deadline fired and every
 	// figure above covers only the simulated window [0, virtual_deadline].
 	Aborted bool `json:"aborted,omitempty"`
-	// EffectiveShards is the shard count the session's engine actually used
-	// (run.Options.EffectiveShards): 0 means the serial engine. It is
-	// deliberately excluded from the JSON body — Shards is excluded from the
-	// memo fingerprint, so requests differing only in shard count share a
-	// memo entry and the body must stay byte-identical across engine modes.
-	// The service reports it out of band: the X-Whatif-Shards response
-	// header on fresh runs, and the shard_runs counters on /stats.
-	EffectiveShards int `json:"-"`
 }
 
 // PanicError wraps a panic recovered from a session so the server can report
@@ -215,7 +207,6 @@ func runSession(ctx context.Context, req *Request) (*Response, error) {
 	o := run.Options{
 		Mode:     run.Monotasks,
 		Deadline: sim.Time(req.VirtualDeadlineSeconds),
-		Shards:   req.Shards,
 	}
 	var sampler *telemetry.Sampler
 	if req.Telemetry {
@@ -241,10 +232,9 @@ func runSession(ctx context.Context, req *Request) (*Response, error) {
 
 	res := model.ClusterResources(c)
 	resp := &Response{
-		EffectiveShards: o.EffectiveShards(),
-		Workload:        req.Workload.Kind,
-		Machines:        req.Cluster.Machines,
-		Aborted:         aborted,
+		Workload: req.Workload.Kind,
+		Machines: req.Cluster.Machines,
+		Aborted:  aborted,
 	}
 	var end sim.Time
 	for _, jm := range ms {

@@ -52,9 +52,6 @@ func New(cfg Config) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 0 {
-		c.ConfigureSharding(cfg.Shards)
-	}
 	disks := len(cfg.Hardware.machineSpec().Disks)
 	fs, err := dfs.New(dfs.Config{Machines: cfg.Machines, DisksPerMachine: disks})
 	if err != nil {
@@ -76,7 +73,7 @@ func New(cfg Config) (*Context, error) {
 }
 
 func (c *Context) runOptions() run.Options {
-	o := run.Options{TasksPerMachine: c.cfg.TasksPerMachine, Shards: c.cfg.Shards}
+	o := run.Options{TasksPerMachine: c.cfg.TasksPerMachine}
 	if c.injector != nil {
 		o.Faults = c.injector
 	}

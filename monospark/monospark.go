@@ -141,12 +141,6 @@ type Config struct {
 	// cluster: periodic snapshots of utilization, scheduler state, and
 	// per-job attribution, readable via Context.Telemetry while jobs run.
 	Telemetry *TelemetryConfig
-	// Shards, when above 1, runs the Context's simulation on the sharded
-	// engine: machines partition into that many shards (clamped to the
-	// machine count) that advance in parallel within a topology-derived
-	// lookahead horizon. Execution strategy only — job results and metrics
-	// are bit-identical to the serial engine at any shard count.
-	Shards int
 	// WorkerDispatch delegates stage execution to worker-side dispatchers
 	// (jobsched.Config.WorkerDispatch): workers self-assign tasks from the
 	// job's execution template the moment a slot opens, and finished stages

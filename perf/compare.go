@@ -75,12 +75,6 @@ type Report struct {
 	NumCPU     int           `json:"num_cpu"`
 	Benchmarks []BenchResult `json:"benchmarks"`
 	Sweep      SweepCompare  `json:"sweep"`
-	// Sharded is the intra-run sharded-engine comparison table (BENCH_6+):
-	// serial vs sharded wall-clock per workload shape and shard count.
-	Sharded []ShardCompare `json:"sharded,omitempty"`
-	// Product is the real-run sharding table (BENCH_7+): the golden sort
-	// end to end on the serial vs sharded engine, with lane occupancy.
-	Product []ProductCompare `json:"product,omitempty"`
 	// Control is the dispatch-mode table (BENCH_8+): centralized driver
 	// dispatch vs worker-side delegation, with checksums and driver-message
 	// counts.
