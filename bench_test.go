@@ -379,11 +379,3 @@ func BenchmarkMultiJobSteadyState(b *testing.B) {
 func BenchmarkDriverSubmit(b *testing.B) {
 	perf.BenchDriverSubmit(b)
 }
-
-// BenchmarkDriverSubmitDelegated is BenchmarkDriverSubmit with the worker-
-// side dispatch control plane on: admission also issues partition-range
-// grants to the workers, and the per-submit allocation cost must stay at the
-// centralized baseline.
-func BenchmarkDriverSubmitDelegated(b *testing.B) {
-	perf.BenchDriverSubmitDelegated(b)
-}

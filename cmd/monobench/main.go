@@ -80,12 +80,6 @@ var parallel = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for exp
 // experiment reports failed instead of hanging the whole benchmark run.
 var timeout = flag.Duration("timeout", 0, "per-experiment wall-clock budget (0 = none), e.g. 90s")
 
-// workerDispatch delegates stage execution to worker-side dispatchers
-// (jobsched.Config.WorkerDispatch): workers self-assign tasks from the job
-// template when a slot opens and exchange stage-completion metadata peer to
-// peer, with bit-identical results to the centralized driver.
-var workerDispatch = flag.Bool("worker-dispatch", false, "delegated control plane: workers self-dispatch tasks (bit-identical results)")
-
 // telemetryOut, when set, attaches a live sampler to every experiment run and
 // writes all captured snapshots to this file as JSON Lines (cmd/monotop reads
 // the format). Output bytes are identical at any --parallel setting.
@@ -166,10 +160,6 @@ func main() {
 			setParallelArg(args[i])
 			continue
 		}
-		if a == "--worker-dispatch" || a == "-worker-dispatch" {
-			*workerDispatch = true
-			continue
-		}
 		if v, ok := strings.CutPrefix(a, "--telemetry="); ok {
 			*telemetryOut = v
 			continue
@@ -208,7 +198,6 @@ func main() {
 	}
 	args = kept
 	sweep.SetParallelism(*parallel)
-	figures.SetWorkerDispatch(*workerDispatch)
 	if len(args) == 0 {
 		usage()
 		os.Exit(2)

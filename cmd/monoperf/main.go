@@ -3,15 +3,13 @@
 // and a serial-vs-parallel sweep of the chaos matrix, then writes the numbers
 // to a BENCH_*.json report.
 //
-//	monoperf -out BENCH_8.json                                # full run
+//	monoperf -out BENCH_9.json                                # full run
 //	monoperf -quick -baseline BENCH_7.json -out BENCH_ci.json # CI-sized run
 //
-// The exit status doubles as four gates: if the parallel sweep's rendered
-// output is not byte-identical to the serial run's, if any control-plane
-// comparison's delegated checksum diverges from its centralized leg, or if
-// -baseline names an earlier report and SortEndToEnd's allocs/op regressed
-// more than 10% against it — or delegated submission costs more than 10%
-// over the baseline's centralized DriverSubmit — monoperf exits non-zero.
+// The exit status doubles as three gates: if the parallel sweep's rendered
+// output is not byte-identical to the serial run's, or if -baseline names an
+// earlier report and SortEndToEnd's or DriverSubmit's allocs/op regressed
+// more than 10% against it, monoperf exits non-zero.
 package main
 
 import (
@@ -44,12 +42,12 @@ func benchSortEndToEnd(b *testing.B) {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_8.json", "report path")
+	out := flag.String("out", "BENCH_9.json", "report path")
 	quick := flag.Bool("quick", false, "CI-sized run: fewer chaos seeds")
 	workers := flag.Int("parallel", 0,
 		"worker count for the parallel sweep leg (0 = min(8, NumCPU): more workers than cores only measures time-slicing overhead)")
 	baseline := flag.String("baseline", "",
-		"earlier BENCH_*.json to gate against: exit non-zero if SortEndToEnd allocs/op regressed >10%")
+		"earlier BENCH_*.json to gate against: exit non-zero if SortEndToEnd or DriverSubmit allocs/op regressed >10%")
 	flag.Parse()
 
 	if *workers <= 0 {
@@ -68,44 +66,7 @@ func main() {
 		perf.Bench("FabricAllToAllShuffle", perf.BenchFabricAllToAll),
 		perf.Bench("SortEndToEnd", benchSortEndToEnd),
 		perf.Bench("DriverSubmit", perf.BenchDriverSubmit),
-		perf.Bench("DriverSubmitDelegated", perf.BenchDriverSubmitDelegated),
 		perf.Bench("MultiJobSteadyState", perf.BenchMultiJobSteadyState),
-	}
-	// Control-plane table: the same workload with centralized driver dispatch
-	// and with worker-side delegation. steady-sort holds the driver, so its
-	// row carries real message counts; golden-sort runs the exact sort the
-	// golden tests lock down (both systems), through the figures hook, and
-	// renders it at full precision: the human-facing table rounds, but the
-	// equivalence contract is bitwise.
-	controlRows := []struct {
-		name string
-		leg  func(delegated bool) (perf.ControlRun, error)
-	}{
-		{"steady-sort", func(delegated bool) (perf.ControlRun, error) {
-			return perf.ControlSortLeg(4, 4, delegated)
-		}},
-		{"golden-sort", func(delegated bool) (perf.ControlRun, error) {
-			figures.SetWorkerDispatch(delegated)
-			defer figures.SetWorkerDispatch(false)
-			sr, err := figures.SortSized(16*units.GB, 4)
-			if err != nil {
-				return perf.ControlRun{}, err
-			}
-			var buf bytes.Buffer
-			for _, row := range sr.Rows {
-				fmt.Fprintf(&buf, "%s job=%.9f map=%.9f reduce=%.9f\n",
-					row.System, float64(row.Job), float64(row.Map), float64(row.Reduce))
-			}
-			return perf.ControlRun{Output: buf.Bytes()}, nil
-		}},
-	}
-	for _, row := range controlRows {
-		cc, err := perf.CompareControl(row.name, row.leg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "monoperf: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Control = append(rep.Control, cc)
 	}
 	sw, err := perf.CompareSweep("chaos", seeds*2, *workers, func() ([]byte, error) {
 		res, err := figures.Chaos(seeds)
@@ -146,19 +107,6 @@ func main() {
 	}
 	fmt.Printf("%-24s serial %.0f ms, parallel(%d) %.0f ms on %d CPUs, speedup %.2fx, identical %v\n",
 		"sweep:"+sw.Experiment, sw.SerialMs, sw.Workers, sw.ParallelMs, sw.NumCPU, sw.Speedup, sw.Identical)
-	controlOK := true
-	for _, cc := range rep.Control {
-		fmt.Printf("%-24s centralized %.0f ms, delegated %.0f ms, identical %v",
-			"control:"+cc.Workload, cc.CentralizedMs, cc.DelegatedMs, cc.Identical)
-		if cc.CentralizedDriverMsgs > 0 {
-			fmt.Printf(", driver msgs %d → %d, peer msgs %d, self-dispatched %d",
-				cc.CentralizedDriverMsgs, cc.DelegatedDriverMsgs, cc.PeerMsgs, cc.SelfDispatched)
-		}
-		fmt.Println()
-		if !cc.Identical {
-			controlOK = false
-		}
-	}
 	if sw.Flagged {
 		fmt.Fprintf(os.Stderr,
 			"monoperf: warning: parallel sweep speedup %.2fx < 1 with %d workers on %d CPUs — number is an overhead measurement, not a win\n",
@@ -169,26 +117,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "monoperf: parallel sweep output diverged from serial run")
 		os.Exit(1)
 	}
-	if !controlOK {
-		fmt.Fprintln(os.Stderr, "monoperf: delegated control-plane checksums diverged from centralized run")
-		os.Exit(1)
-	}
 	if base != nil {
-		if err := rep.AllocGate(base, "SortEndToEnd", 0.10); err != nil {
-			fmt.Fprintf(os.Stderr, "monoperf: %v\n", err)
-			os.Exit(1)
-		}
-		// Delegation must not make submission more expensive: gate the
-		// delegated submit bench against the baseline's centralized
-		// DriverSubmit (BENCH_7: 13 allocs/op).
-		if cur, ok := rep.Benchmark("DriverSubmitDelegated"); ok {
-			if old, ok := base.Benchmark("DriverSubmit"); ok && old.AllocsPerOp > 0 {
-				if float64(cur.AllocsPerOp) > float64(old.AllocsPerOp)*1.10 {
-					fmt.Fprintf(os.Stderr,
-						"monoperf: DriverSubmitDelegated allocs/op %d exceeds centralized baseline %d by >10%%\n",
-						cur.AllocsPerOp, old.AllocsPerOp)
-					os.Exit(1)
-				}
+		for _, name := range []string{"SortEndToEnd", "DriverSubmit"} {
+			if err := rep.AllocGate(base, name, 0.10); err != nil {
+				fmt.Fprintf(os.Stderr, "monoperf: %v\n", err)
+				os.Exit(1)
 			}
 		}
 	}

@@ -259,14 +259,6 @@ func (c *Cluster) SetMachineSpeed(m int, factor float64) {
 	c.Fabric.SetLinkSpeed(m, factor)
 }
 
-// ControlPlaneStats returns the fabric's control-plane ledger totals: the
-// zero-virtual-time coordination messages recorded between machines (the
-// delegated driver's peer-to-peer stage-completion broadcasts). Zero for a
-// centralized control plane, which exchanges no worker-to-worker metadata.
-func (c *Cluster) ControlPlaneStats() netsim.ControlStats {
-	return c.Fabric.ControlStats()
-}
-
 // Spec returns the per-machine specification.
 func (c *Cluster) Spec() MachineSpec { return c.spec }
 

@@ -178,10 +178,4 @@ func (mt *multitask) complete() {
 	mt.netEntry = nil
 	w.mtPool = append(w.mtPool, mt)
 	done(metrics)
-	if w.pull != nil {
-		// Worker-local queue feeding: with a delegated control plane the
-		// freed slot is refilled by this worker's dispatcher now, in the
-		// same engine event the completion ran in.
-		w.pull()
-	}
 }

@@ -74,13 +74,6 @@ type Worker struct {
 	writeCursor int
 	serveCursor int
 
-	// pull, when set, is invoked right after every completion callback this
-	// worker delivers (successful, failed, or zombie) — the worker-local
-	// queue-feeding hook of the delegated control plane: the worker asks its
-	// dispatcher for replacement work the moment a slot opens, instead of
-	// waiting for a driver pass. See SetTaskSource.
-	pull func()
-
 	// Control-plane cache: per-stage DAG templates plus free lists for the
 	// per-task structs, so repeated launches of the same stage shape stay
 	// off the allocator (see template.go).
@@ -106,14 +99,6 @@ func NewWorker(m *cluster.Machine, fabric *netsim.Fabric, eng *sim.Engine, opts 
 
 // SetPeers installs the lookup used to reach other machines' workers.
 func (w *Worker) SetPeers(lookup func(machineID int) *Worker) { w.peers = lookup }
-
-// SetTaskSource registers (or, with nil, clears) the worker's pull hook:
-// after each Launch completion callback returns, the worker invokes pull to
-// request its next task. The delegated driver (jobsched.Config.WorkerDispatch)
-// wires each worker's dispatcher here; re-registering replaces the previous
-// hook, which is how per-job drivers over one long-lived worker group stay
-// correct — a stale driver's fill finds no runnable work and is a no-op.
-func (w *Worker) SetTaskSource(pull func()) { w.pull = pull }
 
 func (w *Worker) peer(id int) *Worker {
 	if w.peers == nil {
@@ -193,9 +178,6 @@ func (w *Worker) failLaunch(t *task.Task, reason string, after sim.Duration, don
 	w.eng.After(after, func() {
 		tm.End = w.eng.Now()
 		done(tm)
-		if w.pull != nil {
-			w.pull()
-		}
 	})
 }
 

@@ -106,8 +106,7 @@ func chaosRun(seed int64, mode monospark.Mode) (chaosOutcome, error) {
 			Random:            chaosPlanConfig(),
 			FetchRetryTimeout: 60,
 		},
-		Telemetry:      telemetryCfg,
-		WorkerDispatch: workerDispatch,
+		Telemetry: telemetryCfg,
 	})
 	if err != nil {
 		return chaosOutcome{}, err

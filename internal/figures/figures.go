@@ -37,20 +37,6 @@ func SetTelemetry(cfg *telemetry.Config, sink func(*telemetry.Sampler)) {
 	telemetrySink = sink
 }
 
-// workerDispatch, when true, runs every executed figure (and chaos cell)
-// with the delegated control plane (jobsched.Config.WorkerDispatch). Like
-// the telemetry hook, it is shared read-only across sweep workers.
-var workerDispatch bool
-
-// SetWorkerDispatch installs (or clears) the worker-dispatch hook — the
-// monobench --worker-dispatch plumbing. Worker-side dispatch is an execution
-// strategy with bit-identical results, so flipping it never changes figure
-// output (pinned by TestGoldenWorkerDispatch). Not safe to call while
-// experiments run.
-func SetWorkerDispatch(on bool) {
-	workerDispatch = on
-}
-
 // Builder produces a job for an environment (matches the workloads types).
 type Builder func(*workloads.Env) (*task.JobSpec, error)
 
@@ -93,9 +79,6 @@ func executeHetero(specs []cluster.MachineSpec, o run.Options, builders ...Build
 	if cfg := telemetryCfg; cfg != nil {
 		o.Telemetry = cfg
 		o.OnTelemetry = telemetrySink
-	}
-	if workerDispatch {
-		o.Sched.WorkerDispatch = true
 	}
 	// A sweep deadline (monobench --timeout) bounds in-flight cells too: the
 	// run layer polls it between event batches and aborts cleanly, so a

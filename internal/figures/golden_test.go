@@ -88,7 +88,8 @@ func TestGoldenDeterminism(t *testing.T) {
 // the same experiments at --parallel 1 and --parallel 8 must render
 // byte-identical output. The comparison covers the golden corpus plus a
 // two-seed chaos matrix (a four-cell grid), so the parallel leg genuinely
-// fans cells across workers.
+// fans cells across workers. Every chaos row must also come out correct and
+// reproducible under both settings.
 func TestGoldenSerialVsParallel(t *testing.T) {
 	render := func() []byte {
 		var buf bytes.Buffer
@@ -98,6 +99,14 @@ func TestGoldenSerialVsParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		cr.Fprint(&buf)
+		for _, row := range cr.Rows {
+			// The chaos plan injects task kills and flaky fetch windows, so
+			// these verdicts cover FailRunningTasks and fetch-timeout retries.
+			if !row.Correct || !row.Reproducible {
+				t.Fatalf("chaos seed %d: correct=%v reproducible=%v (%s)",
+					row.Seed, row.Correct, row.Reproducible, row.Outcome)
+			}
+		}
 		return buf.Bytes()
 	}
 	old := sweep.Parallelism()

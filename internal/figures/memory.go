@@ -45,11 +45,11 @@ type MemoryRow struct {
 
 // MemoryResult is the experiment's full output.
 type MemoryResult struct {
-	Cores       int
-	MemBWGBps   float64
-	CapacityGB  float64
-	Rows        []MemoryRow
-	MigratedAt  float64 // first swept volume whose bottleneck is memory (0 if none)
+	Cores      int
+	MemBWGBps  float64
+	CapacityGB float64
+	Rows       []MemoryRow
+	MigratedAt float64 // first swept volume whose bottleneck is memory (0 if none)
 }
 
 // MemoryVolumes returns the swept working-set sizes in bytes. Smoke keeps

@@ -158,17 +158,6 @@ type Driver struct {
 	poolByName map[string]*poolState
 	nextBase   int
 
-	// Worker-side dispatch (dispatcher.go): per-worker dispatchers (nil for
-	// a centralized driver), the needs-a-global-pass flag, control-plane
-	// message accounting, and scratch for stage-completion broadcasts.
-	// scheduleDepth distinguishes driver-directed launches (inside a global
-	// pass) from worker self-dispatch in the accounting.
-	disp           []*dispatcher
-	globalDirty    bool
-	ctrl           DispatchStats
-	machineScratch []int
-	scheduleDepth  int
-
 	// Execution-template cache and the hot-path slabs/pools/scratch it feeds
 	// (see template.go). All single-threaded, like the engine they serve.
 	templates      map[string]*jobTemplate
@@ -211,7 +200,6 @@ func NewWithConfig(c *cluster.Cluster, fs *dfs.FS, execs []task.Executor, cfg Co
 	if err := d.initPools(); err != nil {
 		return nil, err
 	}
-	d.initDispatch()
 	return d, nil
 }
 
@@ -318,17 +306,14 @@ func (d *Driver) Wait() error {
 
 // schedule fills free slots one task per worker per pass (round robin), so
 // a stage smaller than the cluster's total concurrency still spreads across
-// machines instead of piling onto the lowest-numbered ones. It is called on
-// submission and on every task completion. When no regular work fits, the
-// speculation policy may launch backup attempts. Dead and excluded machines
-// receive nothing.
+// machines instead of piling onto the lowest-numbered ones. It is the
+// driver's only scheduling pass: it runs on admission, after every task
+// completion and fetch timeout, and after every transition that can open a
+// slot or create work (a machine failing or recovering, an exclusion
+// expiring, a job aborting). When no regular work fits, the speculation
+// policy may launch backup attempts. Dead and excluded machines receive
+// nothing.
 func (d *Driver) schedule() {
-	// Entering the full pass satisfies any pending global transition; clear
-	// the flag first so transitions caused *inside* this pass (an abort, an
-	// exclusion) re-mark it and nested passes handle them.
-	d.globalDirty = false
-	d.ctrl.GlobalPasses++
-	d.scheduleDepth++
 	for {
 		progress := false
 		for w := range d.execs {
@@ -355,7 +340,6 @@ func (d *Driver) schedule() {
 			}
 		}
 		if !progress {
-			d.scheduleDepth--
 			return
 		}
 	}
@@ -447,12 +431,6 @@ func (d *Driver) launchAttempt(st *stageState, ti, w int) bool {
 	}
 	d.free[w]--
 	d.inflight[w]++
-	if d.disp != nil && d.scheduleDepth == 0 {
-		d.ctrl.SelfDispatched++ // worker-local fill, no driver round trip
-	} else {
-		d.ctrl.DriverMessages++ // driver-directed placement (dispatch RPC)
-		d.ctrl.DriverBytes += controlMsgHeaderBytes + controlMsgEntryBytes
-	}
 	d.execs[w].Launch(t, d.takeCompletion(st, ti, w, att).fn)
 	if d.cfg.FetchRetryTimeout > 0 && (len(t.Fetches) > 0 || t.RemoteRead != nil) {
 		d.armFetchTimeout(st, ti, att, w)
@@ -464,10 +442,6 @@ func (d *Driver) launchAttempt(st *stageState, ti, w int) bool {
 // pooled completionOp; see template.go).
 func (d *Driver) onAttemptDone(st *stageState, ti, w int, att *attempt, m *task.TaskMetrics) {
 	d.inflight[w]--
-	if d.disp == nil {
-		d.ctrl.DriverMessages++ // per-completion status RPC, centralized
-		d.ctrl.DriverBytes += controlMsgHeaderBytes
-	}
 	if att.retired {
 		// The machine failed, the fetch timed out, or the attempt's input
 		// was invalidated; accounting was already unwound. The executor
@@ -476,7 +450,7 @@ func (d *Driver) onAttemptDone(st *stageState, ti, w int, att *attempt, m *task.
 		if !d.dead[w] {
 			d.free[w]++
 		}
-		d.afterCompletion(w)
+		d.schedule()
 		return
 	}
 	att.retired = true
@@ -484,12 +458,12 @@ func (d *Driver) onAttemptDone(st *stageState, ti, w int, att *attempt, m *task.
 	st.running--
 	if m.Failed {
 		d.handleAttemptFailure(st, ti, w, m.FailReason)
-		d.afterCompletion(w)
+		d.schedule()
 		return
 	}
 	if st.doneTasks[ti] {
 		// A competing speculative attempt already won.
-		d.afterCompletion(w)
+		d.schedule()
 		return
 	}
 	st.doneTasks[ti] = true
@@ -502,7 +476,7 @@ func (d *Driver) onAttemptDone(st *stageState, ti, w int, att *attempt, m *task.
 	if st.completed == st.spec.NumTasks && !st.finished {
 		d.finishStage(st)
 	}
-	d.afterCompletion(w)
+	d.schedule()
 }
 
 // stageBase namespaces stage IDs per job in the shared shuffle tracker.
@@ -513,12 +487,6 @@ func (h *JobHandle) stageBase() int { return h.base }
 func (d *Driver) finishStage(st *stageState) {
 	st.finished = true
 	st.metrics.End = d.cluster.Engine.Now()
-	// Children may have become runnable: a global transition. In delegated
-	// mode this is also the peer-metadata broadcast moment.
-	d.markGlobal()
-	if d.disp != nil {
-		d.announceStageComplete(st)
-	}
 	h := st.job
 	for _, cid := range h.tpl.children[st.spec.ID] {
 		h.stages[cid].waitingOn--
@@ -555,7 +523,6 @@ func (d *Driver) abortJob(h *JobHandle, err error) {
 	h.failed = true
 	h.err = err
 	h.Metrics.End = d.cluster.Engine.Now()
-	d.markGlobal()
 	for _, st := range h.stages {
 		st.pending = st.pending[:0]
 		for ti := range st.attempts {
@@ -621,5 +588,4 @@ func (d *Driver) requeue(st *stageState, ti int) {
 	}
 	st.pending = append(st.pending, ti)
 	sort.Ints(st.pending)
-	d.markGlobal() // pending work appeared; any worker may claim it
 }

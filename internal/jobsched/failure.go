@@ -60,17 +60,6 @@ type Config struct {
 	// from the spec. Results must be bit-identical either way — the knob
 	// exists so tests can prove that.
 	DisableControlPlaneCache bool
-
-	// WorkerDispatch delegates stage execution to worker-side dispatchers
-	// (see dispatcher.go): the driver keeps admission, pool fair-share, and
-	// attribution, while each worker self-assigns its next task from the
-	// shared pending views the moment one of its slots opens, and finished
-	// stages broadcast their completion metadata peer-to-peer as netsim
-	// control flows instead of per-task driver round trips. Execution
-	// strategy only — results are bit-identical to the centralized path.
-	// Speculation needs the driver's global view of running attempts, so a
-	// driver with Speculation on keeps the centralized pass regardless.
-	WorkerDispatch bool
 }
 
 func (c Config) withDefaults() Config {
@@ -122,7 +111,6 @@ func (d *Driver) FailMachine(m int) error {
 	// Death supersedes exclusion; recovery starts with a clean record.
 	d.excluded[m] = false
 	d.machineFailures[m] = 0
-	d.markGlobal()
 	for _, h := range d.jobs {
 		if h.finished() {
 			continue

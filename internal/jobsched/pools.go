@@ -192,12 +192,8 @@ func (d *Driver) admitFrom(p *poolState) {
 		h.AdmittedAt = d.cluster.Engine.Now()
 		p.active = append(p.active, h)
 		admitted = true
-		if d.disp != nil {
-			d.grantRanges(h)
-		}
 	}
 	if admitted {
-		d.markGlobal() // a new job's stages are runnable everywhere
 		d.schedule()
 	}
 }

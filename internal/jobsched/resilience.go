@@ -44,7 +44,6 @@ func (d *Driver) RecoverMachine(m int) error {
 	if d.free[m] < 0 {
 		d.free[m] = 0
 	}
-	d.markGlobal()
 	d.schedule()
 	return nil
 }
@@ -144,9 +143,6 @@ func (d *Driver) noteMachineFailure(w int) {
 	d.excludeCount[w]++
 	d.machineFailures[w] = 0
 	d.excluded[w] = true
-	// Excluding w can strip the last free home off a pending task, newly
-	// allowing a remote pick elsewhere — a global transition.
-	d.markGlobal()
 	until := d.cluster.Engine.Now() + backoff
 	d.excludeUntil[w] = until
 	d.cluster.Engine.At(until, func() { d.readmitMachine(w, until) })
@@ -159,7 +155,6 @@ func (d *Driver) readmitMachine(w int, until sim.Time) {
 		return
 	}
 	d.excluded[w] = false
-	d.markGlobal()
 	d.schedule()
 }
 
@@ -181,5 +176,5 @@ func (d *Driver) onFetchTimeout(st *stageState, ti, w int, att *attempt) {
 	st.running--
 	d.handleAttemptFailure(st, ti, w,
 		fmt.Sprintf("shuffle fetch did not complete within the %vs fetch timeout", d.cfg.FetchRetryTimeout))
-	d.afterTimeout(w)
+	d.schedule()
 }

@@ -1,6 +1,8 @@
 package jobsched
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -444,5 +446,148 @@ func TestSpeculableTaskEdgeCases(t *testing.T) {
 	st.durations = []float64{0, 0, 0}
 	if ti, ok := d.speculableTask(st, 0, now); !ok || ti != 3 {
 		t.Fatalf("zero-duration history: got (%d, %v), want task 3 speculated", ti, ok)
+	}
+}
+
+// metricsFingerprint folds every observable outcome of a set of jobs — per
+// job and per stage start/end, per task machine/timing/failure, abort
+// errors — into one hash, so two runs can be compared bit-for-bit.
+func metricsFingerprint(hs []*JobHandle) uint64 {
+	h := fnv.New64a()
+	for _, jh := range hs {
+		fmt.Fprintf(h, "job %q done=%v start=%v end=%v err=%v\n",
+			jh.Spec.Name, jh.Done(), jh.Metrics.Start, jh.Metrics.End, jh.Err())
+		for si, sm := range jh.Metrics.Stages {
+			fmt.Fprintf(h, " stage %d start=%v end=%v\n", si, sm.Start, sm.End)
+			for ti, tm := range sm.Tasks {
+				if tm == nil {
+					fmt.Fprintf(h, "  task %d nil\n", ti)
+					continue
+				}
+				fmt.Fprintf(h, "  task %d m=%d start=%v end=%v failed=%v\n",
+					ti, tm.Machine, tm.Start, tm.End, tm.Failed)
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestResilienceGauntletReplays runs the full resilience gauntlet —
+// injected task kills, a collapsed link driving fetch timeouts, a machine
+// crash and recovery, exclusion backoff — twice and checks that every
+// observable outcome replays bit for bit.
+func TestResilienceGauntletReplays(t *testing.T) {
+	run := func() uint64 {
+		c, d := monoDriver(t, 4, Config{FetchRetryTimeout: 3, MaxTaskFailures: 50, ExcludeAfterFailures: 3, ExcludeBackoff: 5})
+		h, err := d.Submit(mapReduceJob(12, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Engine.At(1, func() { d.FailRunningTasks(1, 2, "injected kill") })
+		c.Engine.At(0.5, func() { c.Fabric.SetLinkSpeed(0, 0.001) })
+		c.Engine.At(2, func() { _ = d.FailMachine(2) })
+		c.Engine.At(25, func() { _ = d.RecoverMachine(2) })
+		c.Engine.At(40, func() { c.Fabric.SetLinkSpeed(0, 1) })
+		d.Run()
+		return metricsFingerprint([]*JobHandle{h})
+	}
+	if first, second := run(), run(); first != second {
+		t.Fatalf("gauntlet replay diverged: %x vs %x", first, second)
+	}
+}
+
+func TestRecoverMachineResetsExclusionBackoff(t *testing.T) {
+	// Regression: RecoverMachine used to keep excludeCount/excludeUntil, so
+	// a crashed-and-repaired machine inherited pre-crash exponential backoff
+	// escalation. A recovered machine's first re-exclusion must use the base
+	// ExcludeBackoff again.
+	c := testCluster(t, 2)
+	d, _ := fakeDriver(t, c, 1, 1)
+	base := d.cfg.ExcludeBackoff
+	exclude := func() {
+		for i := 0; i < d.cfg.ExcludeAfterFailures; i++ {
+			d.noteMachineFailure(1)
+		}
+	}
+	exclude()
+	if !d.excluded[1] || d.excludeUntil[1] != c.Engine.Now()+base {
+		t.Fatalf("first exclusion until %v, want %v", d.excludeUntil[1], c.Engine.Now()+base)
+	}
+	d.excluded[1] = false // as readmitMachine would
+	exclude()
+	if d.excludeUntil[1] != c.Engine.Now()+2*base {
+		t.Fatalf("second exclusion until %v, want doubled backoff %v", d.excludeUntil[1], c.Engine.Now()+2*base)
+	}
+	if err := d.FailMachine(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RecoverMachine(1); err != nil {
+		t.Fatal(err)
+	}
+	if d.excludeCount[1] != 0 || d.excludeUntil[1] != 0 {
+		t.Fatalf("recovery kept exclusion history: count=%d until=%v", d.excludeCount[1], d.excludeUntil[1])
+	}
+	exclude()
+	if d.excludeUntil[1] != c.Engine.Now()+base {
+		t.Fatalf("post-recovery exclusion until %v, want base backoff %v", d.excludeUntil[1], c.Engine.Now()+base)
+	}
+	if d.excludeCount[1] != 1 {
+		t.Fatalf("post-recovery excludeCount = %d, want 1", d.excludeCount[1])
+	}
+}
+
+func TestMaxExcludeBackoffCapsDoubling(t *testing.T) {
+	// The doubling cap is Config.MaxExcludeBackoff (it was a hidden i < 6
+	// constant): growth stops at the largest doubled value not exceeding
+	// the cap, and a cap below the base leaves the base untouched.
+	c := testCluster(t, 2)
+	d, _ := fakeDriver(t, c, 1, 1)
+	d.cfg.ExcludeBackoff = 30
+	d.cfg.MaxExcludeBackoff = 100
+	d.excludeCount[1] = 5 // deep escalation history
+	d.machineFailures[1] = d.cfg.ExcludeAfterFailures
+	d.noteMachineFailure(1)
+	if got := d.excludeUntil[1] - c.Engine.Now(); got != 60 {
+		t.Fatalf("capped backoff = %v, want 60 (30 doubled once; 120 would exceed the 100 cap)", got)
+	}
+	d.excluded[1] = false
+	d.cfg.MaxExcludeBackoff = 10 // below base: base wins
+	d.machineFailures[1] = d.cfg.ExcludeAfterFailures
+	d.noteMachineFailure(1)
+	if got := d.excludeUntil[1] - c.Engine.Now(); got != 30 {
+		t.Fatalf("sub-base cap gave backoff %v, want the 30 base", got)
+	}
+	// The default cap (64× base) reproduces the legacy six-doublings limit.
+	cfg := Config{ExcludeBackoff: 30}.withDefaults()
+	if cfg.MaxExcludeBackoff != 1920 {
+		t.Fatalf("default MaxExcludeBackoff = %v, want 64×30 = 1920", cfg.MaxExcludeBackoff)
+	}
+}
+
+func TestFetchTimeoutAbortMessageSingleUnit(t *testing.T) {
+	// Regression for the double-unit abort reason: "within the %v s fetch
+	// timeout" rendered two unit suffixes. Drive a reduce into repeated
+	// fetch timeouts until the retry budget aborts the job and check the
+	// rendered reason.
+	c, d := monoDriver(t, 3, Config{FetchRetryTimeout: 2, MaxTaskFailures: 2, ExcludeAfterFailures: -1})
+	h, err := d.Submit(mapReduceJob(6, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Engine.At(0.5, func() {
+		for i := 0; i < c.Size(); i++ {
+			c.Fabric.SetLinkSpeed(i, 0.0001)
+		}
+	})
+	d.Run()
+	if h.Err() == nil {
+		t.Fatal("job survived a permanently collapsed network")
+	}
+	msg := h.Err().Error()
+	if !strings.Contains(msg, "within the 2s fetch timeout") {
+		t.Fatalf("abort reason %q lacks the single-unit timeout phrasing", msg)
+	}
+	if strings.Contains(msg, "s s") {
+		t.Fatalf("abort reason %q still renders a double unit", msg)
 	}
 }

@@ -112,12 +112,6 @@ type Fabric struct {
 	linkCand  []uint64 // linkCand[l] == candEpoch ⇒ l is a candidate this round
 	candEpoch uint64
 	liveLinks []int // component links that still carry unfrozen flows
-
-	// Control-plane ledger (control.go): zero-virtual-time message and byte
-	// counters, fabric-wide and per machine per direction.
-	ctrlTotal ControlStats
-	ctrlOut   []ControlStats
-	ctrlIn    []ControlStats
 }
 
 // NewFabric creates a fabric of n NICs, each with the given full-duplex
@@ -153,8 +147,6 @@ func NewFabricBW(eng *sim.Engine, linkBWs []float64) *Fabric {
 	f.linkOff = make([]int, 2*n)
 	f.linkEnd = make([]int, 2*n)
 	f.linkCand = make([]uint64, 2*n)
-	f.ctrlOut = make([]ControlStats, n)
-	f.ctrlIn = make([]ControlStats, n)
 	return f
 }
 

@@ -60,10 +60,8 @@ type Options struct {
 	// Faults, when set, is installed into whichever executor the mode
 	// selects (shorthand for setting Mono.Faults / Pipe.Faults).
 	Faults task.FaultInjector
-	// Sched configures the driver's resilience and speculation policies,
-	// plus the control-plane strategy: Sched.WorkerDispatch delegates stage
-	// execution to worker-side dispatchers (bit-identical results, the
-	// driver off the per-task critical path).
+	// Sched configures the driver: its resilience and speculation policies,
+	// its scheduling pools, and its execution-template cache.
 	Sched jobsched.Config
 	// Telemetry, when set, attaches a live sampler to the run's engine so the
 	// run emits periodic snapshots (utilization, pool state, per-job

@@ -122,8 +122,8 @@ type Snapshot struct {
 	// complete. Cumulative then holds the whole-run attribution [0, T1),
 	// which a post-hoc model.Attribute call over the same window must equal
 	// exactly — the live-equals-post-hoc property the golden test pins.
-	Final      bool       `json:"final,omitempty"`
-	Cumulative []JobStat  `json:"cumulative,omitempty"`
+	Final      bool      `json:"final,omitempty"`
+	Cumulative []JobStat `json:"cumulative,omitempty"`
 }
 
 // Sampler captures Snapshots of one cluster on a recurring simulator event.

@@ -37,9 +37,9 @@ func TestOverloadChaosStorm(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tenant := fmt.Sprintf("tenant-%d", i%4)
 		requests = append(requests,
-			goodBody(tenant, 8+i),              // distinct questions
-			goodBody(tenant, 8),                // repeated question (memo)
-			`{"broken json`,                    // malformed
+			goodBody(tenant, 8+i), // distinct questions
+			goodBody(tenant, 8),   // repeated question (memo)
+			`{"broken json`,       // malformed
 			`{"workload": {"kind": "chaos-panic"}, "cluster": {"machines": 1}, "tenant": "`+tenant+`"}`, // panics in-session
 			fmt.Sprintf(`{
 				"tenant": %q,

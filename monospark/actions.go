@@ -193,11 +193,11 @@ func (r *JobRun) profile() (*model.JobProfile, error) {
 
 // StageBreakdown is one stage's ideal per-resource completion times (§6.1).
 type StageBreakdown struct {
-	Stage      string
-	Actual     time.Duration
-	IdealCPU   time.Duration
-	IdealDisk  time.Duration
-	IdealNet   time.Duration
+	Stage     string
+	Actual    time.Duration
+	IdealCPU  time.Duration
+	IdealDisk time.Duration
+	IdealNet  time.Duration
 	// IdealMem stays zero on clusters without the memory model.
 	IdealMem   time.Duration
 	Bottleneck string

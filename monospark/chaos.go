@@ -91,9 +91,8 @@ func (c *Context) initChaos() error {
 // driverConfig is the per-job driver policy derived from the Context config.
 func (c *Context) driverConfig() jobsched.Config {
 	cfg := jobsched.Config{
-		Speculation:    c.cfg.Speculation,
-		Pools:          c.cfg.Pools,
-		WorkerDispatch: c.cfg.WorkerDispatch,
+		Speculation: c.cfg.Speculation,
+		Pools:       c.cfg.Pools,
 	}
 	if ch := c.cfg.Chaos; ch != nil {
 		cfg.MaxTaskFailures = ch.MaxTaskFailures

@@ -141,13 +141,6 @@ type Config struct {
 	// cluster: periodic snapshots of utilization, scheduler state, and
 	// per-job attribution, readable via Context.Telemetry while jobs run.
 	Telemetry *TelemetryConfig
-	// WorkerDispatch delegates stage execution to worker-side dispatchers
-	// (jobsched.Config.WorkerDispatch): workers self-assign tasks from the
-	// job's execution template the moment a slot opens, and finished stages
-	// broadcast completion metadata peer-to-peer, leaving the driver only
-	// admission, fair-share, and attribution. Execution strategy only —
-	// results are bit-identical to the centralized control plane.
-	WorkerDispatch bool
 }
 
 func (c Config) withDefaults() Config {

@@ -75,10 +75,6 @@ type Report struct {
 	NumCPU     int           `json:"num_cpu"`
 	Benchmarks []BenchResult `json:"benchmarks"`
 	Sweep      SweepCompare  `json:"sweep"`
-	// Control is the dispatch-mode table (BENCH_8+): centralized driver
-	// dispatch vs worker-side delegation, with checksums and driver-message
-	// counts.
-	Control []ControlCompare `json:"control,omitempty"`
 }
 
 // NewReport stamps the environment fields.

@@ -72,9 +72,10 @@ func (e idleExec) Launch(t *task.Task, done func(*task.TaskMetrics)) {
 	panic("perf: idleExec launched a task")
 }
 
-// submitDriver builds the zero-capacity driver BenchDriverSubmit and its
-// delegated twin share: submissions exercise only the control plane.
-func submitDriver(tb testing.TB, cfg jobsched.Config) (*jobsched.Driver, *task.JobSpec) {
+// submitDriver builds the zero-capacity driver BenchDriverSubmit and
+// TestSubmitSustains100kJobs share: submissions exercise only the control
+// plane.
+func submitDriver(tb testing.TB) (*jobsched.Driver, *task.JobSpec) {
 	c, err := cluster.New(2, cluster.M2_4XLarge())
 	if err != nil {
 		tb.Fatal(err)
@@ -84,7 +85,7 @@ func submitDriver(tb testing.TB, cfg jobsched.Config) (*jobsched.Driver, *task.J
 	for i := range execs {
 		execs[i] = idleExec{id: i}
 	}
-	d, err := jobsched.NewWithConfig(c, env.FS, execs, cfg)
+	d, err := jobsched.New(c, env.FS, execs)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -95,22 +96,7 @@ func submitDriver(tb testing.TB, cfg jobsched.Config) (*jobsched.Driver, *task.J
 // identical jobs into a zero-capacity cluster, so each op is exactly one
 // control-plane instantiation (template-cache hit after the first).
 func BenchDriverSubmit(b *testing.B) {
-	d, spec := submitDriver(b, jobsched.Config{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Submit(spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchDriverSubmitDelegated is BenchDriverSubmit with worker-side dispatch
-// on: each admission also issues the workers' partition-range grants, so this
-// pins that delegation keeps the submission hot path allocation-free beyond
-// the centralized cost.
-func BenchDriverSubmitDelegated(b *testing.B) {
-	d, spec := submitDriver(b, jobsched.Config{WorkerDispatch: true})
+	d, spec := submitDriver(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
