@@ -10,16 +10,25 @@
 package repro
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/figures"
 	"repro/perf"
 )
 
+// Every benchmark runs its experiment's grid on all CPUs, as monobench does
+// by default.
+var (
+	bg      = context.Background()
+	allCPUs = figures.Setup{Workers: runtime.NumCPU()}
+)
+
 // BenchmarkFig02 regenerates the Fig. 2 utilization oscillation trace.
 func BenchmarkFig02(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig02()
+		r, err := figures.Fig02(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,7 +43,7 @@ func BenchmarkFig02(b *testing.B) {
 func BenchmarkSort600GB(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Sort600GB()
+		r, err := figures.Sort600GB(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,7 +60,7 @@ func BenchmarkSort600GB(b *testing.B) {
 func BenchmarkFig05(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig05()
+		r, err := figures.Fig05(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +78,7 @@ func BenchmarkFig05(b *testing.B) {
 // Fig. 5, different view).
 func BenchmarkFig06(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig05()
+		r, err := figures.Fig05(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +93,7 @@ func BenchmarkFig06(b *testing.B) {
 func BenchmarkFig07(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig07()
+		r, err := figures.Fig07(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +107,7 @@ func BenchmarkFig07(b *testing.B) {
 func BenchmarkFig08(b *testing.B) {
 	var oneWave, manyWaves float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig08()
+		r, err := figures.Fig08(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +124,7 @@ func BenchmarkFig08(b *testing.B) {
 func BenchmarkFig09(b *testing.B) {
 	var mono, spark float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig09()
+		r, err := figures.Fig09(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +138,7 @@ func BenchmarkFig09(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig11()
+		r, err := figures.Fig11(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +152,7 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkFig12(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig12()
+		r, err := figures.Fig12(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +172,7 @@ func BenchmarkFig12(b *testing.B) {
 func BenchmarkSec63(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Sec63()
+		r, err := figures.Sec63(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +186,7 @@ func BenchmarkSec63(b *testing.B) {
 func BenchmarkFig13(b *testing.B) {
 	var worst, change float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig13()
+		r, err := figures.Fig13(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,7 +202,7 @@ func BenchmarkFig13(b *testing.B) {
 func BenchmarkFig14(b *testing.B) {
 	var cpuBound float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig14()
+		r, err := figures.Fig14(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +224,7 @@ func BenchmarkFig14(b *testing.B) {
 func BenchmarkFig15(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig12()
+		r, err := figures.Fig12(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +244,7 @@ func BenchmarkFig15(b *testing.B) {
 func BenchmarkFig16(b *testing.B) {
 	var sparkMed, monoMed float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig16()
+		r, err := figures.Fig16(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +263,7 @@ func BenchmarkFig16(b *testing.B) {
 func BenchmarkFig17(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig12()
+		r, err := figures.Fig12(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +283,7 @@ func BenchmarkFig17(b *testing.B) {
 func BenchmarkFig18(b *testing.B) {
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Fig18()
+		r, err := figures.Fig18(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -306,7 +315,7 @@ func pctAbs(predicted, actual float64) float64 {
 // round robin on mixed drives (§3.3, §3.4, §8).
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rr, err := figures.AblationPhaseRR()
+		rr, err := figures.AblationPhaseRR(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,28 +323,28 @@ func BenchmarkAblations(b *testing.B) {
 			b.Fatalf("FIFO (%v) did not starve reads vs round robin (%v)",
 				rr.Rows[1].Seconds, rr.Rows[0].Seconds)
 		}
-		ssd, err := figures.AblationSSDConcurrency()
+		ssd, err := figures.AblationSSDConcurrency(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !(ssd.Rows[0].Seconds > ssd.Rows[1].Seconds && ssd.Rows[1].Seconds > ssd.Rows[2].Seconds) {
 			b.Fatal("SSD throughput did not rise toward the concurrency knee")
 		}
-		law, err := figures.AblationLoadAwareWrites()
+		law, err := figures.AblationLoadAwareWrites(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if law.Rows[1].Seconds >= law.Rows[0].Seconds {
 			b.Fatal("shortest-queue writes did not beat round robin on mixed drives")
 		}
-		net, err := figures.AblationNetLimit()
+		net, err := figures.AblationNetLimit(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if net.Rows[4].Seconds <= net.Rows[2].Seconds {
 			b.Fatal("over-admitting multitasks should hurt (§3.3 trade-off)")
 		}
-		if _, err := figures.AblationSpareMultitask(); err != nil {
+		if _, err := figures.AblationSpareMultitask(bg, allCPUs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -347,7 +356,7 @@ func BenchmarkAblations(b *testing.B) {
 func BenchmarkFailure(b *testing.B) {
 	var overhead float64
 	for i := 0; i < b.N; i++ {
-		r, err := figures.Failure()
+		r, err := figures.Failure(bg, allCPUs)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,6 +11,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -24,38 +25,16 @@ import (
 	"time"
 
 	"repro/internal/figures"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
 // printer is anything a figure returns that can render itself.
 type printer interface{ Fprint(io.Writer) }
 
-// experiments maps names to runners. Each runner executes the experiment
-// and returns one or more printable sections.
-var experiments = map[string]func() ([]printer, error){
-	"fig2":      wrap1(figFig2),
-	"sort":      wrap1(figSort),
-	"fig5":      figFig5,
-	"fig6":      figFig6,
-	"fig7":      wrap1(figFig7),
-	"fig8":      wrap1(figFig8),
-	"fig9":      wrap1(figFig9),
-	"fig11":     wrap1(figFig11),
-	"fig12":     figFig12,
-	"sec63":     wrap1(figSec63),
-	"fig13":     wrap1(figFig13),
-	"fig14":     wrap1(figFig14),
-	"fig15":     figFig15,
-	"fig16":     wrap1(figFig16),
-	"fig17":     figFig17,
-	"fig18":     wrap1(figFig18),
-	"ablations": figAblations,
-	"failure":   figFailure,
-	"chaos":     figChaos,
-	"multijob":  wrap1(figMultijob),
-	"memory":    wrap1(figMemory),
-}
+// verdict is a printed section that also passes or fails: an experiment
+// whose verdict fails still prints, then reports the failure and makes the
+// run exit non-zero.
+type verdict interface{ Verify() error }
 
 // order lists experiments in paper order for `monobench all`.
 var order = []string{
@@ -75,7 +54,7 @@ var smoke = flag.Bool("smoke", false, "run a reduced, CI-sized version of experi
 var parallel = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for experiment grids (1 = serial)")
 
 // timeout, when positive, bounds each experiment's wall-clock time: cells
-// still pending when it expires fail with a deadline error and cells already
+// still pending when it expires fail with a deadline error and runs already
 // simulating are aborted cleanly between event batches, so a stuck
 // experiment reports failed instead of hanging the whole benchmark run.
 var timeout = flag.Duration("timeout", 0, "per-experiment wall-clock budget (0 = none), e.g. 90s")
@@ -197,7 +176,6 @@ func main() {
 		kept = append(kept, a)
 	}
 	args = kept
-	sweep.SetParallelism(*parallel)
 	if len(args) == 0 {
 		usage()
 		os.Exit(2)
@@ -208,10 +186,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	setup := figures.Setup{Workers: *parallel}
 	var tc *telemetryCollector
 	if *telemetryOut != "" {
 		tc = &telemetryCollector{}
-		figures.SetTelemetry(&telemetry.Config{}, tc.collect)
+		setup.Telemetry = tc.collect
 	}
 	names := args
 	if len(args) == 1 && args[0] == "all" {
@@ -226,10 +205,9 @@ func main() {
 			os.Exit(2)
 		}
 		start := time.Now()
-		if *timeout > 0 {
-			sweep.SetDeadline(start.Add(*timeout))
-		}
-		sections, err := runner()
+		ctx, cancel := experimentContext()
+		sections, err := runner(ctx, setup)
+		cancel()
 		if err != nil {
 			// A failed experiment (timed-out or crashed cells) is reported
 			// and the remaining experiments still run; the exit code at the
@@ -250,8 +228,11 @@ func main() {
 			}
 		}
 		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		if err := verify(sections); err != nil {
+			fmt.Fprintf(os.Stderr, "monobench: %s: FAILED: %v\n", name, err)
+			failed = append(failed, name)
+		}
 	}
-	sweep.SetDeadline(time.Time{})
 	if tc != nil {
 		if err := tc.write(*telemetryOut); err != nil {
 			fmt.Fprintf(os.Stderr, "monobench: telemetry: %v\n", err)
@@ -276,6 +257,27 @@ func usage() {
 	for _, n := range names {
 		fmt.Fprintf(os.Stderr, "  %s\n", n)
 	}
+}
+
+// experimentContext bounds one experiment by --timeout, when set.
+func experimentContext() (context.Context, context.CancelFunc) {
+	if *timeout > 0 {
+		return context.WithTimeout(context.Background(), *timeout)
+	}
+	return context.WithCancel(context.Background())
+}
+
+// verify checks every section that carries a verdict and returns the first
+// failure.
+func verify(sections []printer) error {
+	for _, s := range sections {
+		if v, ok := s.(verdict); ok {
+			if err := v.Verify(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // writeCSV stores a section's table, when it has one, under csvDir.
@@ -314,15 +316,4 @@ func setParallelArg(v string) {
 		os.Exit(2)
 	}
 	*parallel = n
-}
-
-// wrap1 lifts a single-result runner into the []printer shape.
-func wrap1[T printer](f func() (T, error)) func() ([]printer, error) {
-	return func() ([]printer, error) {
-		r, err := f()
-		if err != nil {
-			return nil, err
-		}
-		return []printer{r}, nil
-	}
 }

@@ -1,74 +1,79 @@
 package main
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/figures"
 )
 
-// The figure-5 run also carries the figure-6 utilization data, and the
-// figure-12 run carries figures 15 and 17; these adapters select the view.
+// runner executes one experiment under ctx and setup and returns its
+// printable sections.
+type runner func(context.Context, figures.Setup) ([]printer, error)
 
-func figFig2() (*figures.Fig02Result, error)    { return figures.Fig02() }
-func figSort() (*figures.SortResult, error)     { return figures.Sort600GB() }
-func figFig7() (*figures.Fig07Result, error)    { return figures.Fig07() }
-func figFig8() (*figures.Fig08Result, error)    { return figures.Fig08() }
-func figFig9() (*figures.Fig09Result, error)    { return figures.Fig09() }
-func figFig11() (*figures.PredictResult, error) { return figures.Fig11() }
-func figSec63() (*figures.PredictResult, error) { return figures.Sec63() }
-func figFig13() (*figures.PredictResult, error) { return figures.Fig13() }
-func figFig14() (*figures.Fig14Result, error)   { return figures.Fig14() }
-func figFig16() (*figures.Fig16Result, error)   { return figures.Fig16() }
-func figFig18() (*figures.Fig18Result, error)   { return figures.Fig18() }
-
-func figFig5() ([]printer, error) {
-	r, err := figures.Fig05()
-	if err != nil {
-		return nil, err
-	}
-	return []printer{r}, nil
+// experiments maps names to runners. The figure-5 run also carries the
+// figure-6 utilization data, and the figure-12 run carries figures 15 and
+// 17; view selects which one a name prints.
+var experiments = map[string]runner{
+	"fig2":      one(figures.Fig02),
+	"sort":      one(figures.Sort600GB),
+	"fig5":      one(figures.Fig05),
+	"fig6":      view(figures.Fig05, (*figures.Fig05Result).FprintFig6),
+	"fig7":      one(figures.Fig07),
+	"fig8":      one(figures.Fig08),
+	"fig9":      one(figures.Fig09),
+	"fig11":     one(figures.Fig11),
+	"fig12":     one(figures.Fig12),
+	"sec63":     one(figures.Sec63),
+	"fig13":     one(figures.Fig13),
+	"fig14":     one(figures.Fig14),
+	"fig15":     view(figures.Fig12, (*figures.Fig12Result).FprintFig15),
+	"fig16":     one(figures.Fig16),
+	"fig17":     view(figures.Fig12, (*figures.Fig12Result).FprintFig17),
+	"fig18":     one(figures.Fig18),
+	"ablations": figAblations,
+	"failure":   one(figures.Failure),
+	"chaos": one(func(ctx context.Context, s figures.Setup) (*figures.ChaosResult, error) {
+		return figures.Chaos(ctx, s, 24)
+	}),
+	"multijob": one(func(ctx context.Context, s figures.Setup) (*figures.MultijobResult, error) {
+		return figures.Multijob(ctx, s, *smoke)
+	}),
+	"memory": one(func(ctx context.Context, s figures.Setup) (*figures.MemoryResult, error) {
+		return figures.Memory(ctx, s, *smoke)
+	}),
 }
 
-func figFig6() ([]printer, error) {
-	r, err := figures.Fig05()
-	if err != nil {
-		return nil, err
+// one lifts a single-result experiment into a runner.
+func one[T printer](f func(context.Context, figures.Setup) (T, error)) runner {
+	return func(ctx context.Context, s figures.Setup) ([]printer, error) {
+		r, err := f(ctx, s)
+		if err != nil {
+			return nil, err
+		}
+		return []printer{r}, nil
 	}
-	return []printer{printFunc(r.FprintFig6)}, nil
 }
 
-func figFig12() ([]printer, error) {
-	r, err := figures.Fig12()
-	if err != nil {
-		return nil, err
+// view runs an experiment and prints one of its alternate renderings.
+func view[T any](f func(context.Context, figures.Setup) (T, error), render func(T, io.Writer)) runner {
+	return func(ctx context.Context, s figures.Setup) ([]printer, error) {
+		r, err := f(ctx, s)
+		if err != nil {
+			return nil, err
+		}
+		return []printer{printFunc(func(w io.Writer) { render(r, w) })}, nil
 	}
-	return []printer{r}, nil
 }
 
-func figFig15() ([]printer, error) {
-	r, err := figures.Fig12()
-	if err != nil {
-		return nil, err
-	}
-	return []printer{printFunc(r.FprintFig15)}, nil
-}
-
-func figFig17() ([]printer, error) {
-	r, err := figures.Fig12()
-	if err != nil {
-		return nil, err
-	}
-	return []printer{printFunc(r.FprintFig17)}, nil
-}
-
-// printFunc adapts a method value to the printer interface.
+// printFunc adapts a rendering function to the printer interface.
 type printFunc func(io.Writer)
 
 func (f printFunc) Fprint(w io.Writer) { f(w) }
 
-func figAblations() ([]printer, error) {
+func figAblations(ctx context.Context, s figures.Setup) ([]printer, error) {
 	var out []printer
-	for _, f := range []func() (*figures.AblationResult, error){
+	for _, f := range []func(context.Context, figures.Setup) (*figures.AblationResult, error){
 		figures.AblationPhaseRR,
 		figures.AblationSpareMultitask,
 		figures.AblationNetLimit,
@@ -76,7 +81,7 @@ func figAblations() ([]printer, error) {
 		figures.AblationLoadAwareWrites,
 		figures.AblationNetworkPolicy,
 	} {
-		r, err := f()
+		r, err := f(ctx, s)
 		if err != nil {
 			return nil, err
 		}
@@ -84,23 +89,3 @@ func figAblations() ([]printer, error) {
 	}
 	return out, nil
 }
-
-func figFailure() ([]printer, error) {
-	r, err := figures.Failure()
-	if err != nil {
-		return nil, err
-	}
-	return []printer{r}, nil
-}
-
-func figChaos() ([]printer, error) {
-	r, err := figures.Chaos(24)
-	if err != nil {
-		return nil, err
-	}
-	return []printer{r}, nil
-}
-
-func figMultijob() (*figures.MultijobResult, error) { return figures.Multijob(*smoke) }
-
-func figMemory() (*figures.MemoryResult, error) { return figures.Memory(*smoke) }

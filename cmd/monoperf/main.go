@@ -14,6 +14,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -21,21 +22,17 @@ import (
 	"testing"
 
 	"repro/internal/figures"
-	"repro/internal/sweep"
 	"repro/internal/units"
 	"repro/perf"
 )
 
 // benchSortEndToEnd runs the small two-executor sort the golden test locks
-// down, pinned to serial so the ns/op means "single-core simulation cost".
-// Mirrors BenchmarkSortEndToEnd in internal/figures.
+// down, on one sweep worker so the ns/op means "single-core simulation
+// cost". Mirrors BenchmarkSortEndToEnd in internal/figures.
 func benchSortEndToEnd(b *testing.B) {
-	old := sweep.Parallelism()
-	sweep.SetParallelism(1)
-	defer sweep.SetParallelism(old)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := figures.SortSized(8*units.GB, 4); err != nil {
+		if _, err := figures.SortSized(context.Background(), figures.Setup{Workers: 1}, 8*units.GB, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,8 +65,8 @@ func main() {
 		perf.Bench("DriverSubmit", perf.BenchDriverSubmit),
 		perf.Bench("MultiJobSteadyState", perf.BenchMultiJobSteadyState),
 	}
-	sw, err := perf.CompareSweep("chaos", seeds*2, *workers, func() ([]byte, error) {
-		res, err := figures.Chaos(seeds)
+	sw, err := perf.CompareSweep("chaos", seeds*2, *workers, func(workers int) ([]byte, error) {
+		res, err := figures.Chaos(context.Background(), figures.Setup{Workers: workers}, seeds)
 		if err != nil {
 			return nil, err
 		}

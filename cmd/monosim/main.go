@@ -126,7 +126,7 @@ func runSim(cfg config) error {
 	opts.TasksPerMachine = cfg.slots
 
 	execs := run.Executors(c, opts)
-	d, err := run.DriverWith(c, env.FS, execs)
+	d, err := run.DriverWith(c, env.FS, execs, opts)
 	if err != nil {
 		return err
 	}

@@ -219,8 +219,12 @@ func TestInstallExecutesPlanOnEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Install()
-	in.Install() // idempotent: must not double-schedule
+	if err := in.Install(); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Install(); err != nil { // idempotent: must not double-schedule
+		t.Fatal(err)
+	}
 	c.Engine.Run()
 	log := in.Log()
 	if len(log) != 4 {

@@ -27,10 +27,13 @@ func (r Record) String() string {
 // also both executors' task.FaultInjector: at attempt launch it applies any
 // active probability window with a coin flip from its seeded PRNG.
 //
-// Lifecycle: NewInjector at cluster construction, Install once to schedule
-// the plan's events on the engine (the engine must still be at time zero),
-// then Bind each driver before it runs — monospark builds one driver per
-// job, so Bind also replays the current crash state into the fresh driver.
+// Lifecycle: NewInjector over the cluster, then hand the injector to
+// internal/run as Options.Faults. Every driver run builds installs it
+// (Install schedules the plan's events on the engine the first time and is a
+// no-op after that) and then binds it (Bind points crashes and task kills at
+// that driver). A session that builds one driver per job on one engine —
+// monospark.Context — binds each in turn, and Bind replays the current crash
+// state into the fresh driver.
 type Injector struct {
 	c         *cluster.Cluster
 	plan      Plan
@@ -84,11 +87,18 @@ func NewInjector(c *cluster.Cluster, plan Plan) (*Injector, error) {
 // Plan returns the plan the injector executes.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Install schedules every plan event on the cluster engine. Call it once,
-// before the engine has advanced (Engine.At refuses past times). Idempotent.
-func (in *Injector) Install() {
+// Install schedules every plan event on the cluster engine. It is
+// idempotent: only the first call schedules anything. The engine cannot
+// schedule into its past, so if the plan has an event before the engine's
+// clock, Install schedules nothing and returns an error; install before the
+// run reaches the plan's first event.
+func (in *Injector) Install() error {
 	if in.installed {
-		return
+		return nil
+	}
+	if now := in.c.Engine.Now(); len(in.events) > 0 && in.events[0].At < now {
+		e := in.events[0]
+		return fmt.Errorf("faults: plan event %v on machine %d at t=%v is before the engine clock t=%v", e.Kind, e.Machine, e.At, now)
 	}
 	in.installed = true
 	for _, e := range in.events {
@@ -101,6 +111,7 @@ func (in *Injector) Install() {
 			}
 		}
 	}
+	return nil
 }
 
 // Bind points the injector at the driver scheduling the current job(s) and

@@ -1,12 +1,12 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/jobsched"
 	"repro/internal/resource"
 	"repro/internal/run"
 	"repro/internal/sweep"
@@ -39,8 +39,8 @@ func (r *AblationResult) Fprint(w io.Writer) {
 }
 
 // runSortWithMono runs the reference sort under specific monotask options.
-func runSortWithMono(opts core.Options) (float64, error) {
-	res, err := execute(5, cluster.M2_4XLarge(),
+func runSortWithMono(ctx context.Context, setup Setup, opts core.Options) (float64, error) {
+	res, err := execute(ctx, setup, 5, cluster.M2_4XLarge(),
 		run.Options{Mode: run.Monotasks, Mono: opts},
 		workloads.Sort{TotalBytes: 60 * units.GB, ValuesPerKey: 25}.Build)
 	if err != nil {
@@ -54,45 +54,10 @@ func runSortWithMono(opts core.Options) (float64, error) {
 // (from a write-heavy job) with a read-then-compute job arriving behind it.
 // Under FIFO the second job's reads are stuck behind every queued write and
 // its CPU sits idle; round robin interleaves them.
-func AblationPhaseRR() (*AblationResult, error) {
+func AblationPhaseRR(ctx context.Context, setup Setup) (*AblationResult, error) {
 	configs := []bool{false, true} // DisablePhaseRoundRobin
-	secs, err := sweep.Run(len(configs), func(i int) (float64, error) {
-		fifo := configs[i]
-		c, err := cluster.New(5, cluster.M2_4XLarge())
-		if err != nil {
-			return 0, err
-		}
-		env, err := workloads.NewEnv(c)
-		if err != nil {
-			return 0, err
-		}
-		writer := &task.JobSpec{Name: "writer", Stages: []*task.StageSpec{{
-			ID: 0, Name: "writer", NumTasks: 400, OpCPU: 0.05, OutputBytes: 512 << 20,
-		}}}
-		reader, err := workloads.ReadCompute{Name: "reader", TotalBytes: 20 * units.GB, NumTasks: 160}.Build(env)
-		if err != nil {
-			return 0, err
-		}
-		d, err := run.Driver(c, env.FS, run.Options{Mode: run.Monotasks,
-			Mono: core.Options{DisablePhaseRoundRobin: fifo}})
-		if err != nil {
-			return 0, err
-		}
-		if _, err := d.Submit(writer); err != nil {
-			return 0, err
-		}
-		// The reader arrives once the writer's backlog is established; its
-		// runtime isolates the queueing effect.
-		var submitErr error
-		var readerHandle *jobsched.JobHandle
-		c.Engine.At(30, func() {
-			readerHandle, submitErr = d.Submit(reader)
-		})
-		d.Run()
-		if submitErr != nil {
-			return 0, submitErr
-		}
-		return float64(readerHandle.Metrics.Duration()), nil
+	secs, err := sweep.Run(ctx, setup.Workers, len(configs), func(i int) (float64, error) {
+		return phaseRRCell(ctx, setup, configs[i])
 	})
 	if err != nil {
 		return nil, err
@@ -108,12 +73,41 @@ func AblationPhaseRR() (*AblationResult, error) {
 	return out, nil
 }
 
+// phaseRRCell runs the write backlog with the reader arriving behind it,
+// with plain FIFO queues when fifo is set, and returns the reader's runtime.
+func phaseRRCell(ctx context.Context, setup Setup, fifo bool) (float64, error) {
+	c, err := cluster.New(5, cluster.M2_4XLarge())
+	if err != nil {
+		return 0, err
+	}
+	env, err := workloads.NewEnv(c)
+	if err != nil {
+		return 0, err
+	}
+	writer := &task.JobSpec{Name: "writer", Stages: []*task.StageSpec{{
+		ID: 0, Name: "writer", NumTasks: 400, OpCPU: 0.05, OutputBytes: 512 << 20,
+	}}}
+	reader, err := workloads.ReadCompute{Name: "reader", TotalBytes: 20 * units.GB, NumTasks: 160}.Build(env)
+	if err != nil {
+		return 0, err
+	}
+	// The reader arrives once the writer's backlog is established; its
+	// runtime isolates the queueing effect.
+	o := run.Options{Mode: run.Monotasks, Mono: core.Options{DisablePhaseRoundRobin: fifo}}
+	hs, err := run.JobsAtContext(ctx, c, env.FS, setup.observe(o),
+		[]run.Submission{{Spec: writer}, {Spec: reader, At: 30}})
+	if err != nil {
+		return 0, err
+	}
+	return float64(hs[1].Metrics.Duration()), nil
+}
+
 // AblationSpareMultitask compares the §3.4 "+1" spare multitask against a
 // concurrency target with no slack.
-func AblationSpareMultitask() (*AblationResult, error) {
+func AblationSpareMultitask(ctx context.Context, setup Setup) (*AblationResult, error) {
 	opts := []core.Options{{}, {NoSpareMultitask: true}}
-	secs, err := sweep.Run(len(opts), func(i int) (float64, error) {
-		return runSortWithMono(opts[i])
+	secs, err := sweep.Run(ctx, setup.Workers, len(opts), func(i int) (float64, error) {
+		return runSortWithMono(ctx, setup, opts[i])
 	})
 	if err != nil {
 		return nil, err
@@ -132,16 +126,16 @@ func AblationSpareMultitask() (*AblationResult, error) {
 // hazard §3.3 names: with too few multitasks outstanding, a receiver can
 // sit waiting on data from one slow sender; with too many, no multitask's
 // data completes early enough to pipeline with compute.
-func AblationNetLimit() (*AblationResult, error) {
+func AblationNetLimit(ctx context.Context, setup Setup) (*AblationResult, error) {
 	out := &AblationResult{Title: "Ablation: network scheduler multitask limit (§3.3; one machine degraded to 0.4×)"}
 	limits := []int{1, 2, 4, 8, 16}
-	secs, err := sweep.Run(len(limits), func(i int) (float64, error) {
+	secs, err := sweep.Run(ctx, setup.Workers, len(limits), func(i int) (float64, error) {
 		specs := make([]cluster.MachineSpec, 15)
 		for j := range specs {
 			specs[j] = cluster.I2_2XLarge(2)
 		}
 		specs[0] = specs[0].Degraded(0.4)
-		res, err := executeHetero(specs,
+		res, err := executeHetero(ctx, setup, specs,
 			run.Options{Mode: run.Monotasks, Mono: core.Options{NetMultitaskLimit: limits[i]}},
 			workloads.LeastSquares{}.Build)
 		if err != nil {
@@ -177,11 +171,11 @@ func labelNetLimit(lim int) string {
 
 // AblationSSDConcurrency sweeps outstanding monotasks per flash drive: the
 // §3.3 finding is that throughput rises to a knee around four.
-func AblationSSDConcurrency() (*AblationResult, error) {
+func AblationSSDConcurrency(ctx context.Context, setup Setup) (*AblationResult, error) {
 	out := &AblationResult{Title: "Ablation: outstanding monotasks per SSD (§3.3)"}
 	concs := []int{1, 2, 4, 8}
-	secs, err := sweep.Run(len(concs), func(i int) (float64, error) {
-		res, err := execute(5, cluster.I2_2XLarge(2),
+	secs, err := sweep.Run(ctx, setup.Workers, len(concs), func(i int) (float64, error) {
+		res, err := execute(ctx, setup, 5, cluster.I2_2XLarge(2),
 			run.Options{Mode: run.Monotasks, Mono: core.Options{SSDConcurrency: concs[i]}},
 			workloads.Sort{TotalBytes: 60 * units.GB, ValuesPerKey: 50}.Build)
 		if err != nil {
@@ -209,7 +203,7 @@ func AblationSSDConcurrency() (*AblationResult, error) {
 // AblationLoadAwareWrites compares round-robin write placement against the
 // shortest-queue policy §8 proposes, on machines with heterogeneous disks
 // (one HDD + one SSD), where round robin keeps feeding the slow drive.
-func AblationLoadAwareWrites() (*AblationResult, error) {
+func AblationLoadAwareWrites(ctx context.Context, setup Setup) (*AblationResult, error) {
 	spec := cluster.MachineSpec{
 		Cores:    8,
 		Disks:    []resource.DiskSpec{resource.DefaultHDD(), resource.DefaultSSD()},
@@ -218,8 +212,8 @@ func AblationLoadAwareWrites() (*AblationResult, error) {
 	}
 	out := &AblationResult{Title: "Ablation: write-disk selection on mixed HDD+SSD machines (§8)"}
 	aware := []bool{false, true}
-	secs, err := sweep.Run(len(aware), func(i int) (float64, error) {
-		res, err := execute(5, spec,
+	secs, err := sweep.Run(ctx, setup.Workers, len(aware), func(i int) (float64, error) {
+		res, err := execute(ctx, setup, 5, spec,
 			run.Options{Mode: run.Monotasks, Mono: core.Options{LoadAwareWrites: aware[i]}},
 			workloads.Sort{TotalBytes: 60 * units.GB, ValuesPerKey: 25}.Build)
 		if err != nil {
@@ -249,7 +243,7 @@ func lab(format string, args ...any) string {
 // scheduler against the sender/receiver matching discipline it names as
 // future work (pHost / iSlip, §3.3), on the network-heavy ML workload and
 // on the sort's disk-backed shuffle.
-func AblationNetworkPolicy() (*AblationResult, error) {
+func AblationNetworkPolicy(ctx context.Context, setup Setup) (*AblationResult, error) {
 	out := &AblationResult{Title: "Ablation: network scheduling discipline (§3.3 future work)"}
 	configs := []struct {
 		label  string
@@ -259,7 +253,7 @@ func AblationNetworkPolicy() (*AblationResult, error) {
 		{"sender/receiver matching", core.SenderReceiverMatching},
 	}
 	// Cells 0..1 are the ML workload, 2..3 the sort, preserving row order.
-	rows, err := sweep.Run(2*len(configs), func(i int) (AblationRow, error) {
+	rows, err := sweep.Run(ctx, setup.Workers, 2*len(configs), func(i int) (AblationRow, error) {
 		cfgRow := configs[i%len(configs)]
 		o := run.Options{Mode: run.Monotasks, Mono: core.Options{NetworkPolicy: cfgRow.policy}}
 		var res *RunResult
@@ -267,10 +261,10 @@ func AblationNetworkPolicy() (*AblationResult, error) {
 		var suffix string
 		if i < len(configs) {
 			suffix = " / ml"
-			res, err = execute(15, cluster.I2_2XLarge(2), o, workloads.LeastSquares{}.Build)
+			res, err = execute(ctx, setup, 15, cluster.I2_2XLarge(2), o, workloads.LeastSquares{}.Build)
 		} else {
 			suffix = " / sort"
-			res, err = execute(5, cluster.M2_4XLarge(), o,
+			res, err = execute(ctx, setup, 5, cluster.M2_4XLarge(), o,
 				workloads.Sort{TotalBytes: 60 * units.GB, ValuesPerKey: 25}.Build)
 		}
 		if err != nil {

@@ -1,11 +1,13 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/faults"
@@ -92,9 +94,10 @@ func chaosPlanConfig() faults.PlanConfig {
 	}
 }
 
-// chaosRun executes the chaos workload once under the given seed and mode.
-func chaosRun(seed int64, mode monospark.Mode) (chaosOutcome, error) {
-	ctx, err := monospark.New(monospark.Config{
+// chaosRun executes the chaos workload once under the given seed and mode,
+// aborting cleanly when ctx is done.
+func chaosRun(ctx context.Context, setup Setup, seed int64, mode monospark.Mode) (chaosOutcome, error) {
+	cfg := monospark.Config{
 		Machines: 4,
 		Mode:     mode,
 		// Stretch per-record compute so the job spans tens of virtual
@@ -106,25 +109,32 @@ func chaosRun(seed int64, mode monospark.Mode) (chaosOutcome, error) {
 			Random:            chaosPlanConfig(),
 			FetchRetryTimeout: 60,
 		},
-		Telemetry: telemetryCfg,
-	})
+	}
+	if setup.Telemetry != nil {
+		cfg.Telemetry = &monospark.TelemetryConfig{}
+	}
+	sc, err := monospark.New(cfg)
 	if err != nil {
 		return chaosOutcome{}, err
 	}
-	if ctx.Telemetry() != nil && telemetrySink != nil {
+	if s := sc.Telemetry(); s != nil {
 		defer func() {
-			ctx.Telemetry().Stop()
-			telemetrySink(ctx.Telemetry())
+			s.Stop()
+			setup.Telemetry(s)
 		}()
 	}
-	ds, err := ctx.Parallelize(chaosInput(), 32)
+	ds, err := sc.Parallelize(chaosInput(), 32)
 	if err != nil {
 		return chaosOutcome{}, err
 	}
-	recs, jr, err := ds.SortByKey().Collect()
-	out := chaosOutcome{faults: len(ctx.FaultEvents())}
+	recs, jr, err := ds.SortByKey().CollectContext(ctx)
+	if err != nil && ctx.Err() != nil {
+		// Cancelled, not a chaos outcome: fail the cell.
+		return chaosOutcome{}, err
+	}
+	out := chaosOutcome{faults: len(sc.FaultEvents())}
 	h := fnv.New64a()
-	for _, f := range ctx.FaultEvents() {
+	for _, f := range sc.FaultEvents() {
 		fmt.Fprintf(h, "%v|", f)
 	}
 	if err != nil {
@@ -188,9 +198,9 @@ func chaosCorrect(recs []any) bool {
 // run — including the replay of a seed — is an independent simulation, so
 // all 2×seeds cells go through the sweep pool; the determinism comparison
 // happens on the collected outcomes.
-func Chaos(seeds int) (*ChaosResult, error) {
-	outcomes, err := sweep.Run(seeds*2, func(i int) (chaosOutcome, error) {
-		return chaosRun(int64(i/2)+1, monospark.Monotasks)
+func Chaos(ctx context.Context, setup Setup, seeds int) (*ChaosResult, error) {
+	outcomes, err := sweep.Run(ctx, setup.Workers, seeds*2, func(i int) (chaosOutcome, error) {
+		return chaosRun(ctx, setup, int64(i/2)+1, monospark.Monotasks)
 	})
 	if err != nil {
 		return nil, err
@@ -217,6 +227,21 @@ func Chaos(seeds int) (*ChaosResult, error) {
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// Verify fails unless every seed's run was correct and reproducible, naming
+// the seeds that were not.
+func (r *ChaosResult) Verify() error {
+	var bad []string
+	for _, row := range r.Rows {
+		if !row.Correct || !row.Reproducible {
+			bad = append(bad, fmt.Sprintf("%d (correct=%v reproducible=%v)", row.Seed, row.Correct, row.Reproducible))
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("chaos: %d of %d seeds failed their verdict: %s", len(bad), len(r.Rows), strings.Join(bad, ", "))
+	}
+	return nil
 }
 
 // Fprint renders the per-seed verdicts.

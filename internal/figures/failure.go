@@ -1,10 +1,12 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/jobsched"
 	"repro/internal/run"
 	"repro/internal/sim"
@@ -62,7 +64,7 @@ func failureWorkload(replication int) workloads.Sort {
 // replication and speculation setting, failing machine failureMachineID at
 // failAt (no failure when failAt <= 0). It returns the job duration and the
 // outcome string.
-func failureRun(mode run.Mode, replication int, speculation bool, failAt sim.Time) (sim.Duration, string, error) {
+func failureRun(ctx context.Context, setup Setup, mode run.Mode, replication int, speculation bool, failAt sim.Time) (sim.Duration, string, error) {
 	c, err := cluster.New(failureMachines, cluster.M2_4XLarge())
 	if err != nil {
 		return 0, "", err
@@ -75,29 +77,24 @@ func failureRun(mode run.Mode, replication int, speculation bool, failAt sim.Tim
 	if err != nil {
 		return 0, "", err
 	}
-	d, err := run.Driver(c, env.FS, run.Options{Mode: mode, Sched: jobsched.Config{Speculation: speculation}})
-	if err != nil {
-		return 0, "", err
-	}
-	h, err := d.Submit(job)
-	if err != nil {
-		return 0, "", err
-	}
+	o := run.Options{Mode: mode, Sched: jobsched.Config{Speculation: speculation}}
 	if failAt > 0 {
-		var failErr error
-		c.Engine.At(failAt, func() { failErr = d.FailMachine(failureMachineID) })
-		d.Run()
-		if failErr != nil {
-			return 0, "", failErr
+		o.Faults, err = faults.NewInjector(c, faults.Plan{Events: []faults.Event{
+			{At: failAt, Kind: faults.MachineCrash, Machine: failureMachineID},
+		}})
+		if err != nil {
+			return 0, "", err
 		}
-	} else {
-		d.Run()
+	}
+	hs, err := run.JobsAtContext(ctx, c, env.FS, setup.observe(o), []run.Submission{{Spec: job}})
+	if err != nil {
+		return 0, "", err
 	}
 	outcome := "completed"
-	if err := h.Err(); err != nil {
+	if err := hs[0].Err(); err != nil {
 		outcome = fmt.Sprintf("aborted: %v", err)
 	}
-	return h.Metrics.Duration(), outcome, nil
+	return hs[0].Metrics.Duration(), outcome, nil
 }
 
 // Failure runs the full matrix: {spark, monotasks} × {map, reduce failure}
@@ -105,7 +102,7 @@ func failureRun(mode run.Mode, replication int, speculation bool, failAt sim.Tim
 // baseline. Two sweep phases: all clean baselines first (the failure
 // injection times are fractions of the clean runtimes), then all 16 failure
 // runs.
-func Failure() (*FailureResult, error) {
+func Failure(ctx context.Context, setup Setup) (*FailureResult, error) {
 	type cfg struct {
 		mode        run.Mode
 		replication int
@@ -119,9 +116,9 @@ func Failure() (*FailureResult, error) {
 			}
 		}
 	}
-	cleans, err := sweep.Run(len(cfgs), func(i int) (sim.Duration, error) {
+	cleans, err := sweep.Run(ctx, setup.Workers, len(cfgs), func(i int) (sim.Duration, error) {
 		c := cfgs[i]
-		clean, outcome, err := failureRun(c.mode, c.replication, c.speculation, 0)
+		clean, outcome, err := failureRun(ctx, setup, c.mode, c.replication, c.speculation, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -137,10 +134,10 @@ func Failure() (*FailureResult, error) {
 		name string
 		frac float64
 	}{{"map", mapFailFrac}, {"reduce", reduceFailFrac}}
-	rows, err := sweep.Run(len(cfgs)*len(phases), func(i int) (FailureRow, error) {
+	rows, err := sweep.Run(ctx, setup.Workers, len(cfgs)*len(phases), func(i int) (FailureRow, error) {
 		c, phase := cfgs[i/len(phases)], phases[i%len(phases)]
 		clean := cleans[i/len(phases)]
-		dur, outcome, err := failureRun(c.mode, c.replication, c.speculation,
+		dur, outcome, err := failureRun(ctx, setup, c.mode, c.replication, c.speculation,
 			sim.Time(float64(clean)*phase.frac))
 		if err != nil {
 			return FailureRow{}, err

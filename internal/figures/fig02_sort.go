@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/cluster"
@@ -24,8 +25,8 @@ type Fig02Result struct {
 
 // Fig02 runs the 600 GB sort under the pipelined executor and samples
 // machine 0 during the map stage.
-func Fig02() (*Fig02Result, error) {
-	res, err := execute(20, cluster.M2_4XLarge(), run.Options{Mode: run.Spark},
+func Fig02(ctx context.Context, setup Setup) (*Fig02Result, error) {
+	res, err := execute(ctx, setup, 20, cluster.M2_4XLarge(), run.Options{Mode: run.Spark},
 		workloads.Sort{TotalBytes: 600 * units.GB, ValuesPerKey: 10}.Build)
 	if err != nil {
 		return nil, err
@@ -126,18 +127,18 @@ type SortRow struct {
 
 // Sort600GB runs the 600 GB sort on 20 two-HDD workers under both systems
 // (§5.2: Spark 88 min = 36 map + 52 reduce; MonoSpark 57 min = 22 + 35).
-func Sort600GB() (*SortResult, error) {
-	return SortSized(600*units.GB, 20)
+func Sort600GB(ctx context.Context, setup Setup) (*SortResult, error) {
+	return SortSized(ctx, setup, 600*units.GB, 20)
 }
 
 // SortSized runs the §5.2 sort at an arbitrary scale under both systems —
 // the 600 GB figure uses it directly, and the golden-output determinism test
 // runs a small instance of the same code path.
-func SortSized(totalBytes int64, machines int) (*SortResult, error) {
+func SortSized(ctx context.Context, setup Setup, totalBytes int64, machines int) (*SortResult, error) {
 	out := &SortResult{TotalBytes: totalBytes, Machines: machines}
 	modes := []run.Mode{run.Spark, run.Monotasks}
-	rows, err := sweep.Run(len(modes), func(i int) (SortRow, error) {
-		res, err := execute(machines, cluster.M2_4XLarge(), run.Options{Mode: modes[i]},
+	rows, err := sweep.Run(ctx, setup.Workers, len(modes), func(i int) (SortRow, error) {
+		res, err := execute(ctx, setup, machines, cluster.M2_4XLarge(), run.Options{Mode: modes[i]},
 			workloads.Sort{TotalBytes: totalBytes, ValuesPerKey: 10}.Build)
 		if err != nil {
 			return SortRow{}, err

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/cluster"
@@ -49,16 +50,16 @@ type StageUtilRow struct {
 // Fig05 runs every benchmark query under Spark, Spark-with-flushed-writes,
 // and MonoSpark on the paper's 5-worker HDD cluster. The (query, mode) grid
 // cells are independent runs, fanned out through the sweep pool.
-func Fig05() (*Fig05Result, error) {
+func Fig05(ctx context.Context, setup Setup) (*Fig05Result, error) {
 	queries := workloads.BDBQueryNames()
 	modes := []run.Mode{run.Spark, run.SparkWriteThrough, run.Monotasks}
 	type cell struct {
 		dur  sim.Duration
 		util []StageUtilRow
 	}
-	cells, err := sweep.Run(len(queries)*len(modes), func(i int) (cell, error) {
+	cells, err := sweep.Run(ctx, setup.Workers, len(queries)*len(modes), func(i int) (cell, error) {
 		q, mode := queries[i/len(modes)], modes[i%len(modes)]
-		res, err := execute(5, cluster.M2_4XLarge(), run.Options{Mode: mode},
+		res, err := execute(ctx, setup, 5, cluster.M2_4XLarge(), run.Options{Mode: mode},
 			func(env *workloads.Env) (*task.JobSpec, error) { return workloads.BDBQuery(q, env) })
 		if err != nil {
 			return cell{}, err

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/cluster"
@@ -27,10 +28,10 @@ type Fig07Result struct {
 
 // Fig07 runs the least-squares workload on 15 two-SSD workers, both modes
 // concurrently.
-func Fig07() (*Fig07Result, error) {
+func Fig07(ctx context.Context, setup Setup) (*Fig07Result, error) {
 	modes := []run.Mode{run.Spark, run.Monotasks}
-	results, err := sweep.Run(len(modes), func(i int) (*RunResult, error) {
-		return execute(15, cluster.I2_2XLarge(2), run.Options{Mode: modes[i]},
+	results, err := sweep.Run(ctx, setup.Workers, len(modes), func(i int) (*RunResult, error) {
+		return execute(ctx, setup, 15, cluster.I2_2XLarge(2), run.Options{Mode: modes[i]},
 			workloads.LeastSquares{}.Build)
 	})
 	if err != nil {
@@ -84,13 +85,13 @@ type Fig08Result struct {
 
 // Fig08 sweeps the task count from one wave (160) upward; the (task count,
 // mode) grid runs through the sweep pool.
-func Fig08() (*Fig08Result, error) {
+func Fig08(ctx context.Context, setup Setup) (*Fig08Result, error) {
 	const totalBytes = 200 * units.GB
 	taskCounts := []int{160, 320, 480, 960, 1920}
 	modes := []run.Mode{run.Spark, run.Monotasks}
-	durs, err := sweep.Run(len(taskCounts)*len(modes), func(i int) (sim.Duration, error) {
+	durs, err := sweep.Run(ctx, setup.Workers, len(taskCounts)*len(modes), func(i int) (sim.Duration, error) {
 		tasks, mode := taskCounts[i/len(modes)], modes[i%len(modes)]
-		res, err := execute(20, cluster.M2_4XLarge(), run.Options{Mode: mode},
+		res, err := execute(ctx, setup, 20, cluster.M2_4XLarge(), run.Options{Mode: mode},
 			workloads.ReadCompute{TotalBytes: totalBytes, NumTasks: tasks}.Build)
 		if err != nil {
 			return 0, err
@@ -134,14 +135,14 @@ type Fig09Result struct {
 
 // Fig09 runs q2c in both modes concurrently and summarizes map-stage
 // utilization.
-func Fig09() (*Fig09Result, error) {
+func Fig09(ctx context.Context, setup Setup) (*Fig09Result, error) {
 	type cell struct {
 		cpu, disk float64
 		series    [][2]float64
 	}
 	modes := []run.Mode{run.Spark, run.Monotasks}
-	cells, err := sweep.Run(len(modes), func(i int) (cell, error) {
-		res, err := execute(5, cluster.M2_4XLarge(), run.Options{Mode: modes[i]},
+	cells, err := sweep.Run(ctx, setup.Workers, len(modes), func(i int) (cell, error) {
+		res, err := execute(ctx, setup, 5, cluster.M2_4XLarge(), run.Options{Mode: modes[i]},
 			func(env *workloads.Env) (*task.JobSpec, error) { return workloads.BDBQuery("2c", env) })
 		if err != nil {
 			return cell{}, err

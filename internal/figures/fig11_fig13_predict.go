@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/cluster"
@@ -57,14 +58,14 @@ func (r *PredictResult) Fprint(w io.Writer) {
 // Fig11 predicts the effect of doubling SSDs per machine for the sort
 // workload at three value sizes: run on 20×1-SSD, predict 20×2-SSD from
 // monotask times, then actually run 20×2-SSD.
-func Fig11() (*PredictResult, error) {
+func Fig11(ctx context.Context, setup Setup) (*PredictResult, error) {
 	out := &PredictResult{Title: "Figure 11: predict 2× SSDs (sort 600 GB, 20 workers × 1 SSD → 2 SSD)"}
 	valueCounts := []int{10, 20, 50}
 	// Grid: values × {1-SSD baseline, 2-SSD target}. The prediction is derived
 	// from the returned baseline run after the sweep.
-	results, err := sweep.Run(len(valueCounts)*2, func(i int) (*RunResult, error) {
+	results, err := sweep.Run(ctx, setup.Workers, len(valueCounts)*2, func(i int) (*RunResult, error) {
 		sort := workloads.Sort{TotalBytes: 600 * units.GB, ValuesPerKey: valueCounts[i/2]}
-		return execute(20, cluster.I2_2XLarge(1+i%2), run.Options{Mode: run.Monotasks}, sort.Build)
+		return execute(ctx, setup, 20, cluster.I2_2XLarge(1+i%2), run.Options{Mode: run.Monotasks}, sort.Build)
 	})
 	if err != nil {
 		return nil, err
@@ -85,13 +86,13 @@ func Fig11() (*PredictResult, error) {
 
 // Sec63 predicts storing input deserialized in memory (§6.3): the model
 // removes input-read disk time and the deserialization share of compute.
-func Sec63() (*PredictResult, error) {
+func Sec63(ctx context.Context, setup Setup) (*PredictResult, error) {
 	out := &PredictResult{Title: "§6.3: predict in-memory deserialized input (sort, 20 workers × 2 HDD)"}
 	sortDisk := workloads.Sort{Name: "sort-disk", TotalBytes: 40 * units.GB, ValuesPerKey: 10}
 	sortMem := workloads.Sort{Name: "sort-mem", TotalBytes: 40 * units.GB, ValuesPerKey: 10, InMemoryInput: true}
 	builders := []Builder{sortDisk.Build, sortMem.Build}
-	results, err := sweep.Run(len(builders), func(i int) (*RunResult, error) {
-		return execute(20, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, builders[i])
+	results, err := sweep.Run(ctx, setup.Workers, len(builders), func(i int) (*RunResult, error) {
+		return execute(ctx, setup, 20, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, builders[i])
 	})
 	if err != nil {
 		return nil, err
@@ -111,17 +112,17 @@ func Sec63() (*PredictResult, error) {
 // Fig13 predicts a combined hardware and software migration: 5 machines
 // with HDDs and on-disk input → 20 machines with SSDs and in-memory
 // deserialized input — a ~10× runtime change (Fig. 13).
-func Fig13() (*PredictResult, error) {
+func Fig13(ctx context.Context, setup Setup) (*PredictResult, error) {
 	out := &PredictResult{Title: "Figure 13: predict 5×2-HDD on-disk → 20×2-SSD in-memory (sort 100 GB)"}
 	valueCounts := []int{10, 20, 50}
-	results, err := sweep.Run(len(valueCounts)*2, func(i int) (*RunResult, error) {
+	results, err := sweep.Run(ctx, setup.Workers, len(valueCounts)*2, func(i int) (*RunResult, error) {
 		values := valueCounts[i/2]
 		if i%2 == 0 {
 			before := workloads.Sort{TotalBytes: 100 * units.GB, ValuesPerKey: values}
-			return execute(5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, before.Build)
+			return execute(ctx, setup, 5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, before.Build)
 		}
 		after := workloads.Sort{TotalBytes: 100 * units.GB, ValuesPerKey: values, InMemoryInput: true}
-		return execute(20, cluster.I2_2XLarge(2), run.Options{Mode: run.Monotasks}, after.Build)
+		return execute(ctx, setup, 20, cluster.I2_2XLarge(2), run.Options{Mode: run.Monotasks}, after.Build)
 	})
 	if err != nil {
 		return nil, err

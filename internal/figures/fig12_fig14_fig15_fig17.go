@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/cluster"
@@ -44,7 +45,7 @@ type Fig12Result struct {
 // Fig12 predicts the big data benchmark with one disk per machine instead
 // of two, with each of the three models, and measures reality for both
 // systems.
-func Fig12() (*Fig12Result, error) {
+func Fig12(ctx context.Context, setup Setup) (*Fig12Result, error) {
 	queries := workloads.BDBQueryNames()
 	// Grid: queries × {mono 2-HDD, mono 1-HDD, spark 2-HDD, spark 1-HDD}.
 	// Models are derived from the retained runs after the sweep.
@@ -55,14 +56,14 @@ func Fig12() (*Fig12Result, error) {
 		{run.Monotasks, false}, {run.Monotasks, true},
 		{run.Spark, false}, {run.Spark, true},
 	}
-	results, err := sweep.Run(len(queries)*len(grid), func(i int) (*RunResult, error) {
+	results, err := sweep.Run(ctx, setup.Workers, len(queries)*len(grid), func(i int) (*RunResult, error) {
 		q, g := queries[i/len(grid)], grid[i%len(grid)]
 		build := func(env *workloads.Env) (*task.JobSpec, error) { return workloads.BDBQuery(q, env) }
 		spec := cluster.M2_4XLarge()
 		if g.one {
 			spec = oneHDD()
 		}
-		return execute(5, spec, run.Options{Mode: g.mode}, build)
+		return execute(ctx, setup, 5, spec, run.Options{Mode: g.mode}, build)
 	})
 	if err != nil {
 		return nil, err
@@ -156,12 +157,12 @@ type Fig14Result struct {
 
 // Fig14 profiles each query once (all queries concurrently) and removes each
 // resource from the model.
-func Fig14() (*Fig14Result, error) {
+func Fig14(ctx context.Context, setup Setup) (*Fig14Result, error) {
 	queries := workloads.BDBQueryNames()
-	rows, err := sweep.Run(len(queries), func(i int) (Fig14Row, error) {
+	rows, err := sweep.Run(ctx, setup.Workers, len(queries), func(i int) (Fig14Row, error) {
 		q := queries[i]
 		build := func(env *workloads.Env) (*task.JobSpec, error) { return workloads.BDBQuery(q, env) }
-		res, err := execute(5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, build)
+		res, err := execute(ctx, setup, 5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, build)
 		if err != nil {
 			return Fig14Row{}, err
 		}

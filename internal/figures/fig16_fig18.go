@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"io"
 	"math"
 	"sort"
@@ -37,23 +38,23 @@ func MedianAndP75(errs []float64) (median, p75 float64) {
 // Fig16 runs the 10-value and 50-value sorts concurrently under both
 // systems and compares each system's per-job resource attribution against
 // ground truth.
-func Fig16() (*Fig16Result, error) {
+func Fig16(ctx context.Context, setup Setup) (*Fig16Result, error) {
 	sortA := workloads.Sort{Name: "sort-10v", TotalBytes: 60 * units.GB, ValuesPerKey: 10}
 	sortB := workloads.Sort{Name: "sort-50v", TotalBytes: 60 * units.GB, ValuesPerKey: 50}
 	out := &Fig16Result{}
 
 	// All four runs are independent: two solo ground-truth runs, the
 	// concurrent pair under Spark, and the concurrent pair under MonoSpark.
-	runs, err := sweep.Run(4, func(i int) (*RunResult, error) {
+	runs, err := sweep.Run(ctx, setup.Workers, 4, func(i int) (*RunResult, error) {
 		switch i {
 		case 0:
-			return execute(5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, sortA.Build)
+			return execute(ctx, setup, 5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, sortA.Build)
 		case 1:
-			return execute(5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, sortB.Build)
+			return execute(ctx, setup, 5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, sortB.Build)
 		case 2:
-			return execute(5, cluster.M2_4XLarge(), run.Options{Mode: run.Spark}, sortA.Build, sortB.Build)
+			return execute(ctx, setup, 5, cluster.M2_4XLarge(), run.Options{Mode: run.Spark}, sortA.Build, sortB.Build)
 		default:
-			return execute(5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, sortA.Build, sortB.Build)
+			return execute(ctx, setup, 5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks}, sortA.Build, sortB.Build)
 		}
 	})
 	if err != nil {
@@ -158,17 +159,17 @@ type Fig18Result struct {
 // runs MonoSpark, which has no such knob. The whole (workload, config) grid —
 // six Spark slot counts plus the MonoSpark run per workload — runs through
 // the sweep pool.
-func Fig18() (*Fig18Result, error) {
+func Fig18(ctx context.Context, setup Setup) (*Fig18Result, error) {
 	taskCounts := []int{1, 2, 4, 8, 16, 32}
 	valueCounts := []int{1, 25, 100}
 	perWorkload := len(taskCounts) + 1 // six Spark configs + one MonoSpark run
-	durs, err := sweep.Run(len(valueCounts)*perWorkload, func(i int) (sim.Duration, error) {
+	durs, err := sweep.Run(ctx, setup.Workers, len(valueCounts)*perWorkload, func(i int) (sim.Duration, error) {
 		sortW := workloads.Sort{TotalBytes: 60 * units.GB, ValuesPerKey: valueCounts[i/perWorkload]}
 		o := run.Options{Mode: run.Monotasks}
 		if c := i % perWorkload; c < len(taskCounts) {
 			o = run.Options{Mode: run.Spark, TasksPerMachine: taskCounts[c]}
 		}
-		res, err := execute(5, cluster.M2_4XLarge(), o, sortW.Build)
+		res, err := execute(ctx, setup, 5, cluster.M2_4XLarge(), o, sortW.Build)
 		if err != nil {
 			return 0, err
 		}

@@ -7,34 +7,43 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/cluster"
 	"repro/internal/run"
-	"repro/internal/sweep"
 	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
-// Telemetry hook: when set, every executed figure run (and every chaos cell)
-// attaches a live sampler and hands the finished sampler to sink. Sweep cells
-// run on parallel workers, so sink must be safe for concurrent calls; the
-// config is shared read-only across runs (leave Config.OnSnapshot nil and
-// read each sampler's ring from the sink instead). Collectors that need a
-// byte-stable file across --parallel worker counts should serialize each
-// sampler to its own chunk and order chunks canonically (see monobench).
-var (
-	telemetryCfg  *telemetry.Config
-	telemetrySink func(*telemetry.Sampler)
-)
+// Setup is how an experiment executes, as opposed to what it measures: how
+// many of its grid cells run at once, and where each run's live telemetry
+// goes. Every experiment function takes one, with a context whose
+// cancellation or deadline aborts the experiment's runs cleanly.
+type Setup struct {
+	// Workers is how many grid cells run concurrently (internal/sweep);
+	// below one runs them serially on the calling goroutine. Output is
+	// byte-identical at every setting.
+	Workers int
+	// Telemetry, when set, attaches a live sampler (the zero
+	// telemetry.Config) to every simulated run and receives the sampler
+	// once the run finishes. Cells run on parallel workers, so it must be
+	// safe for concurrent calls. A collector that needs a byte-stable file
+	// across worker counts should serialize each sampler to its own chunk
+	// and order chunks canonically (see cmd/monobench).
+	Telemetry func(*telemetry.Sampler)
+}
 
-// SetTelemetry installs (or, with a nil cfg, clears) the telemetry hook. Not
-// safe to call while experiments run.
-func SetTelemetry(cfg *telemetry.Config, sink func(*telemetry.Sampler)) {
-	telemetryCfg = cfg
-	telemetrySink = sink
+// observe attaches the setup's telemetry sink to o, unless o already
+// carries its own sampler.
+func (s Setup) observe(o run.Options) run.Options {
+	if s.Telemetry != nil && o.Telemetry == nil {
+		o.Telemetry = &telemetry.Config{}
+		o.OnTelemetry = s.Telemetry
+	}
+	return o
 }
 
 // Builder produces a job for an environment (matches the workloads types).
@@ -49,17 +58,17 @@ type RunResult struct {
 }
 
 // execute builds a fresh cluster, materializes each builder's job, submits
-// them together (concurrent jobs), and drains the simulation.
-func execute(machines int, spec cluster.MachineSpec, o run.Options, builders ...Builder) (*RunResult, error) {
+// them together (concurrent jobs), and drains the simulation under ctx.
+func execute(ctx context.Context, s Setup, machines int, spec cluster.MachineSpec, o run.Options, builders ...Builder) (*RunResult, error) {
 	specs := make([]cluster.MachineSpec, machines)
 	for i := range specs {
 		specs[i] = spec
 	}
-	return executeHetero(specs, o, builders...)
+	return executeHetero(ctx, s, specs, o, builders...)
 }
 
 // executeHetero is execute with per-machine specs (straggler experiments).
-func executeHetero(specs []cluster.MachineSpec, o run.Options, builders ...Builder) (*RunResult, error) {
+func executeHetero(ctx context.Context, s Setup, specs []cluster.MachineSpec, o run.Options, builders ...Builder) (*RunResult, error) {
 	c, err := cluster.NewHetero(specs)
 	if err != nil {
 		return nil, err
@@ -76,17 +85,7 @@ func executeHetero(specs []cluster.MachineSpec, o run.Options, builders ...Build
 		}
 		jobSpecs = append(jobSpecs, js)
 	}
-	if cfg := telemetryCfg; cfg != nil {
-		o.Telemetry = cfg
-		o.OnTelemetry = telemetrySink
-	}
-	// A sweep deadline (monobench --timeout) bounds in-flight cells too: the
-	// run layer polls it between event batches and aborts cleanly, so a
-	// stuck cell fails with a deadline error instead of hanging the sweep.
-	if t := sweep.Deadline(); !t.IsZero() && o.WallDeadline.IsZero() {
-		o.WallDeadline = t
-	}
-	jobs, err := run.Jobs(c, env.FS, o, jobSpecs...)
+	jobs, err := run.JobsContext(ctx, c, env.FS, s.observe(o), jobSpecs...)
 	if err != nil {
 		return nil, err
 	}

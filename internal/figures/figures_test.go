@@ -2,6 +2,8 @@ package figures
 
 import (
 	"bytes"
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,8 +14,14 @@ import (
 // repository root; these tests cover the cheaper ones plus the printers,
 // asserting the paper's qualitative claims.
 
+var bg = context.Background()
+
+// allCPUs runs an experiment's grid on every CPU, as monobench does by
+// default.
+func allCPUs() Setup { return Setup{Workers: runtime.NumCPU()} }
+
 func TestFig05AndFig06(t *testing.T) {
-	r, err := Fig05()
+	r, err := Fig05(bg, allCPUs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +56,7 @@ func TestFig05AndFig06(t *testing.T) {
 }
 
 func TestFig09MonoKeepsBottleneckBusier(t *testing.T) {
-	r, err := Fig09()
+	r, err := Fig09(bg, allCPUs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +76,7 @@ func TestFig09MonoKeepsBottleneckBusier(t *testing.T) {
 }
 
 func TestFig14NetworkIrrelevant(t *testing.T) {
-	r, err := Fig14()
+	r, err := Fig14(bg, allCPUs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +100,7 @@ func TestFig14NetworkIrrelevant(t *testing.T) {
 }
 
 func TestSec63Prediction(t *testing.T) {
-	r, err := Sec63()
+	r, err := Sec63(bg, allCPUs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +119,7 @@ func TestSec63Prediction(t *testing.T) {
 }
 
 func TestFig16AttributionAsymmetry(t *testing.T) {
-	r, err := Fig16()
+	r, err := Fig16(bg, allCPUs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,26 +5,24 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/resource"
 	"repro/internal/sweep"
 	"repro/internal/task"
-	"repro/internal/telemetry"
 )
 
 // memorySweepOutput runs the scale-up data-volume sweep on the given machine
 // spec and renders every cell at full float precision, so any drift in the
 // memory model shows up byte-for-byte.
-func memorySweepOutput(t *testing.T, spec cluster.MachineSpec) []byte {
+func memorySweepOutput(t *testing.T, setup Setup, spec cluster.MachineSpec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	volumes := MemoryVolumes(false)
-	rows, err := sweep.Run(len(volumes), func(i int) (MemoryRow, error) {
-		return memoryCell(spec, volumes[i])
+	rows, err := sweep.Run(bg, setup.Workers, len(volumes), func(i int) (MemoryRow, error) {
+		return memoryCell(bg, setup, spec, volumes[i])
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,18 +47,18 @@ func TestGoldenMemoryOnOff(t *testing.T) {
 	memless := fat
 	memless.Mem = resource.MemorySpec{}
 
-	off := memorySweepOutput(t, memless)
+	off := memorySweepOutput(t, allCPUs(), memless)
 	for _, line := range bytes.Split(bytes.TrimSpace(off), []byte("\n")) {
 		if !bytes.Contains(line, []byte("mem=0.000000000 bot=cpu gc=0 spill=0 peak=0 err=0.000000000")) {
 			t.Fatalf("memoryless sweep leaked memory-model state: %s", line)
 		}
 	}
 
-	on := memorySweepOutput(t, fat)
+	on := memorySweepOutput(t, allCPUs(), fat)
 	if bytes.Equal(on, off) {
 		t.Fatal("enabling the memory model changed nothing — the fourth resource is not wired in")
 	}
-	if on2 := memorySweepOutput(t, fat); !bytes.Equal(on, on2) {
+	if on2 := memorySweepOutput(t, allCPUs(), fat); !bytes.Equal(on, on2) {
 		t.Fatalf("memory-enabled sweep is not replay-identical at:\n%s", firstDiffLine(on2, on))
 	}
 
@@ -97,12 +95,8 @@ func TestGoldenMemoryOnOff(t *testing.T) {
 // per-cell event queues.
 func TestGoldenMemorySerialVsParallel(t *testing.T) {
 	fat := cluster.FatNode()
-	old := sweep.Parallelism()
-	defer sweep.SetParallelism(old)
-	sweep.SetParallelism(1)
-	serial := memorySweepOutput(t, fat)
-	sweep.SetParallelism(8)
-	parallel := memorySweepOutput(t, fat)
+	serial := memorySweepOutput(t, Setup{Workers: 1}, fat)
+	parallel := memorySweepOutput(t, Setup{Workers: 8}, fat)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("memory sweep diverged between --parallel 1 and 8 at:\n%s",
 			firstDiffLine(parallel, serial))
@@ -114,7 +108,7 @@ func TestGoldenMemorySerialVsParallel(t *testing.T) {
 // CPU and migrates to memory, and the memory-bound cells report a genuine
 // (nonzero) attribution error instead of hiding the stall time.
 func TestGoldenMemoryMigration(t *testing.T) {
-	r, err := Memory(false)
+	r, err := Memory(bg, allCPUs(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,29 +137,11 @@ func TestGoldenMemoryMigration(t *testing.T) {
 // installed and returns the canonical sorted-chunk JSONL stream.
 func memoryTelemetryStream(t *testing.T) []byte {
 	t.Helper()
-	var mu sync.Mutex
-	var chunks [][]byte
-	SetTelemetry(&telemetry.Config{}, func(s *telemetry.Sampler) {
-		var buf bytes.Buffer
-		err := telemetry.WriteJSONL(&buf, s.Snapshots())
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		chunks = append(chunks, buf.Bytes())
-	})
-	defer SetTelemetry(nil, nil)
-
-	if _, err := Memory(true); err != nil {
+	sink := &chunkSink{t: t}
+	if _, err := Memory(bg, Setup{Workers: runtime.NumCPU(), Telemetry: sink.collect}, true); err != nil {
 		t.Fatal(err)
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	sort.Slice(chunks, func(i, j int) bool { return bytes.Compare(chunks[i], chunks[j]) < 0 })
-	return bytes.Join(chunks, nil)
+	return sink.bytes()
 }
 
 // TestGoldenMemoryTelemetry: memory-enabled runs publish the mem utilization
@@ -185,7 +161,7 @@ func TestGoldenMemoryTelemetry(t *testing.T) {
 		t.Fatalf("memory telemetry replay differs at:\n%s", firstDiffLine(b, a))
 	}
 
-	memless := telemetryStream(t) // golden corpus: all machines memoryless
+	memless := telemetryStream(t, runtime.NumCPU()) // golden corpus: all machines memoryless
 	if bytes.Contains(memless, []byte(`"mem":`)) {
 		t.Fatal("memoryless run emitted a mem key — old telemetry streams are no longer byte-stable")
 	}

@@ -2,49 +2,59 @@ package figures
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
+// chunkSink collects every finished run's snapshot ring as one serialized
+// JSONL chunk. Sweep cells finish in arbitrary wall-clock order, so bytes
+// sorts the chunks canonically — the same scheme monobench --telemetry uses
+// — making the result a pure function of the experiment set.
+type chunkSink struct {
+	t      *testing.T
+	mu     sync.Mutex
+	chunks [][]byte
+}
+
+func (c *chunkSink) collect(s *telemetry.Sampler) {
+	var buf bytes.Buffer
+	err := telemetry.WriteJSONL(&buf, s.Snapshots())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.t.Error(err)
+		return
+	}
+	c.chunks = append(c.chunks, buf.Bytes())
+}
+
+func (c *chunkSink) bytes() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sort.Slice(c.chunks, func(i, j int) bool { return bytes.Compare(c.chunks[i], c.chunks[j]) < 0 })
+	return bytes.Join(c.chunks, nil)
+}
+
 // telemetryStream runs the golden corpus (SortSized, both systems) plus a
-// two-seed chaos matrix with the telemetry hook installed, and returns every
-// run's snapshot stream as one byte string. Sweep cells finish in arbitrary
-// wall-clock order, so each run's ring is serialized into its own JSONL chunk
-// and chunks are sorted canonically — the same scheme monobench --telemetry
-// uses — making the result a pure function of the experiment set.
-func telemetryStream(t *testing.T) []byte {
+// two-seed chaos matrix on the given number of sweep workers with a
+// telemetry sink attached, and returns every run's snapshot stream as one
+// canonical byte string.
+func telemetryStream(t *testing.T, workers int) []byte {
 	t.Helper()
-	var mu sync.Mutex
-	var chunks [][]byte
-	SetTelemetry(&telemetry.Config{}, func(s *telemetry.Sampler) {
-		var buf bytes.Buffer
-		err := telemetry.WriteJSONL(&buf, s.Snapshots())
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		chunks = append(chunks, buf.Bytes())
-	})
-	defer SetTelemetry(nil, nil)
-
-	if _, err := SortSized(16*units.GB, 4); err != nil {
+	sink := &chunkSink{t: t}
+	setup := Setup{Workers: workers, Telemetry: sink.collect}
+	if _, err := SortSized(bg, setup, 16*units.GB, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Chaos(2); err != nil {
+	if _, err := Chaos(bg, setup, 2); err != nil {
 		t.Fatal(err)
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	sort.Slice(chunks, func(i, j int) bool { return bytes.Compare(chunks[i], chunks[j]) < 0 })
-	return bytes.Join(chunks, nil)
+	return sink.bytes()
 }
 
 // TestGoldenTelemetryDeterminism extends the determinism gate to the live
@@ -54,27 +64,23 @@ func telemetryStream(t *testing.T) []byte {
 // divergence would mean either the sampler perturbed the simulation or the
 // stream depends on scheduling outside virtual time.
 func TestGoldenTelemetryDeterminism(t *testing.T) {
-	a := telemetryStream(t)
+	a := telemetryStream(t, runtime.NumCPU())
 	if len(a) == 0 {
 		t.Fatal("empty telemetry stream")
 	}
-	b := telemetryStream(t)
+	b := telemetryStream(t, runtime.NumCPU())
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-process telemetry replay differs at:\n%s", firstDiffLine(b, a))
 	}
 
-	old := sweep.Parallelism()
-	defer sweep.SetParallelism(old)
-	sweep.SetParallelism(1)
-	serial := telemetryStream(t)
-	sweep.SetParallelism(8)
-	parallel := telemetryStream(t)
+	serial := telemetryStream(t, 1)
+	parallel := telemetryStream(t, 8)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("telemetry stream diverged between --parallel 1 and 8 at:\n%s",
 			firstDiffLine(parallel, serial))
 	}
 	if !bytes.Equal(a, serial) {
-		t.Fatalf("telemetry stream depends on ambient parallelism at:\n%s",
+		t.Fatalf("telemetry stream depends on the worker count at:\n%s",
 			firstDiffLine(serial, a))
 	}
 

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -10,9 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/jobsched"
 	"repro/internal/run"
-	"repro/internal/sweep"
 	"repro/internal/task"
 	"repro/internal/units"
 	"repro/internal/workloads"
@@ -23,11 +20,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden determinism fi
 // goldenOutput renders a small sort (both systems) and one big data benchmark
 // query through the same code paths the paper figures use, at full float
 // precision so any drift in the simulation shows up byte-for-byte.
-func goldenOutput(t *testing.T) []byte {
+func goldenOutput(t *testing.T, setup Setup) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 
-	sr, err := SortSized(16*units.GB, 4)
+	sr, err := SortSized(bg, setup, 16*units.GB, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +35,7 @@ func goldenOutput(t *testing.T) []byte {
 	}
 
 	q := workloads.BDBQueryNames()[0]
-	res, err := execute(5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks},
+	res, err := execute(bg, setup, 5, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks},
 		func(env *workloads.Env) (*task.JobSpec, error) { return workloads.BDBQuery(q, env) })
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +54,8 @@ func goldenOutput(t *testing.T) []byte {
 // file across processes, machines, and (under -race) goroutine schedules.
 // Regenerate the file with: go test ./internal/figures -run Golden -update
 func TestGoldenDeterminism(t *testing.T) {
-	a := goldenOutput(t)
-	b := goldenOutput(t)
+	a := goldenOutput(t, allCPUs())
+	b := goldenOutput(t, allCPUs())
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-process replay differs:\nfirst:\n%s\nsecond:\n%s", firstDiffLine(a, b), firstDiffLine(b, a))
 	}
@@ -91,10 +88,10 @@ func TestGoldenDeterminism(t *testing.T) {
 // fans cells across workers. Every chaos row must also come out correct and
 // reproducible under both settings.
 func TestGoldenSerialVsParallel(t *testing.T) {
-	render := func() []byte {
+	render := func(setup Setup) []byte {
 		var buf bytes.Buffer
-		buf.Write(goldenOutput(t))
-		cr, err := Chaos(2)
+		buf.Write(goldenOutput(t, setup))
+		cr, err := Chaos(bg, setup, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,48 +106,11 @@ func TestGoldenSerialVsParallel(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	old := sweep.Parallelism()
-	defer sweep.SetParallelism(old)
-	sweep.SetParallelism(1)
-	serial := render()
-	sweep.SetParallelism(8)
-	parallel := render()
+	serial := render(Setup{Workers: 1})
+	parallel := render(Setup{Workers: 8})
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("parallel sweep output diverged from serial at:\n%s",
 			firstDiffLine(parallel, serial))
-	}
-}
-
-// TestGoldenTemplateCacheOnOff locks the execution-template cache's
-// equivalence contract: the golden corpus plus a two-seed chaos matrix
-// (fault injection, machine exclusion, retries — everything that could
-// perturb a cached plan) must hash byte-identically with the jobsched
-// template cache enabled and disabled. With the cache off, every submission
-// rebuilds its template from the spec, so any divergence means cached
-// control-plane state leaked between jobs.
-func TestGoldenTemplateCacheOnOff(t *testing.T) {
-	render := func() []byte {
-		var buf bytes.Buffer
-		buf.Write(goldenOutput(t))
-		cr, err := Chaos(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cr.Fprint(&buf)
-		return buf.Bytes()
-	}
-	prev := jobsched.SetTemplateCache(true)
-	defer jobsched.SetTemplateCache(prev)
-	cacheOn := sha256.Sum256(render())
-	jobsched.SetTemplateCache(false)
-	cacheOff := sha256.Sum256(render())
-	if cacheOn != cacheOff {
-		jobsched.SetTemplateCache(true)
-		a := render()
-		jobsched.SetTemplateCache(false)
-		b := render()
-		t.Fatalf("template cache changed results (hash %x vs %x) at:\n%s",
-			cacheOn[:8], cacheOff[:8], firstDiffLine(a, b))
 	}
 }
 

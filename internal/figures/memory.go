@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -63,11 +64,11 @@ func MemoryVolumes(smoke bool) []int64 {
 
 // Memory runs the data-volume sweep. Every cell is an independent simulation
 // and goes through the sweep pool.
-func Memory(smoke bool) (*MemoryResult, error) {
+func Memory(ctx context.Context, setup Setup, smoke bool) (*MemoryResult, error) {
 	spec := cluster.FatNode()
 	volumes := MemoryVolumes(smoke)
-	rows, err := sweep.Run(len(volumes), func(i int) (MemoryRow, error) {
-		return memoryCell(spec, volumes[i])
+	rows, err := sweep.Run(ctx, setup.Workers, len(volumes), func(i int) (MemoryRow, error) {
+		return memoryCell(ctx, setup, spec, volumes[i])
 	})
 	if err != nil {
 		return nil, err
@@ -88,8 +89,8 @@ func Memory(smoke bool) (*MemoryResult, error) {
 }
 
 // memoryCell runs one working-set size on a fresh fat machine.
-func memoryCell(spec cluster.MachineSpec, volume int64) (MemoryRow, error) {
-	res, err := execute(1, spec, run.Options{Mode: run.Monotasks},
+func memoryCell(ctx context.Context, setup Setup, spec cluster.MachineSpec, volume int64) (MemoryRow, error) {
+	res, err := execute(ctx, setup, 1, spec, run.Options{Mode: run.Monotasks},
 		func(env *workloads.Env) (*task.JobSpec, error) {
 			return workloads.ScaleUp{TotalBytes: volume}.Build(env)
 		})

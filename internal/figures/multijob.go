@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/task"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/workloads"
 )
@@ -97,11 +99,10 @@ func (r *multijobRun) jobMetrics() []*task.JobMetrics {
 }
 
 // runMultijob materializes the stream on a fresh cluster and executes its
-// arrival schedule. A non-nil sample callback fires every half virtual
-// second while any job is unfinished, with the live driver and the current
-// virtual time — the hook the pool-share measurement watches the scheduler
-// through.
-func runMultijob(o run.Options, m workloads.MultiJob, sample func(*jobsched.Driver, sim.Time)) (*multijobRun, error) {
+// arrival schedule under ctx. o may carry its own telemetry sampler (the
+// pool-share measurement watches the scheduler through one); otherwise the
+// setup's sink, if any, gets one.
+func runMultijob(ctx context.Context, setup Setup, o run.Options, m workloads.MultiJob) (*multijobRun, error) {
 	c, err := cluster.New(multijobMachines, cluster.M2_4XLarge())
 	if err != nil {
 		return nil, err
@@ -118,45 +119,16 @@ func runMultijob(o run.Options, m workloads.MultiJob, sample func(*jobsched.Driv
 	for i, a := range arrivals {
 		subs[i] = run.Submission{Spec: a.Spec, At: a.At, Opts: jobsched.SubmitOptions{Pool: a.Pool}}
 	}
-	d, err := run.Driver(c, env.FS, o)
+	handles, err := run.JobsAtContext(ctx, c, env.FS, setup.observe(o), subs)
 	if err != nil {
 		return nil, err
-	}
-	handles := make([]*jobsched.JobHandle, len(subs))
-	var submitErr error
-	for i, s := range subs {
-		i, s := i, s
-		c.Engine.At(s.At, func() {
-			h, err := d.SubmitWith(s.Spec, s.Opts)
-			if err != nil && submitErr == nil {
-				submitErr = err
-			}
-			handles[i] = h
-		})
-	}
-	if sample != nil {
-		var tick func()
-		tick = func() {
-			sample(d, c.Engine.Now())
-			for _, h := range handles {
-				if h == nil || !(h.Done() || h.Failed()) {
-					c.Engine.After(0.5, tick)
-					return
-				}
-			}
-		}
-		c.Engine.After(0.5, tick)
-	}
-	d.Run()
-	if submitErr != nil {
-		return nil, submitErr
 	}
 	return &multijobRun{Cluster: c, Handles: handles, Arrivals: arrivals}, nil
 }
 
 // Multijob runs the experiment. Smoke mode shrinks job sizes, counts, and
 // the load sweep so CI can run it on every push.
-func Multijob(smoke bool) (*MultijobResult, error) {
+func Multijob(ctx context.Context, setup Setup, smoke bool) (*MultijobResult, error) {
 	jobBytes := int64(6 * units.GB)
 	loads := []float64{0.4, 0.8}
 	jobsPerLoad := 12
@@ -176,7 +148,7 @@ func Multijob(smoke bool) (*MultijobResult, error) {
 
 	// Calibrate: one job alone, mono mode. Offered load ρ means the stream
 	// delivers ρ solo-job-times of work per solo-job-time.
-	solo, err := runMultijob(run.Options{Mode: run.Monotasks}, stream("solo", 1, 0, nil), nil)
+	solo, err := runMultijob(ctx, setup, run.Options{Mode: run.Monotasks}, stream("solo", 1, 0, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -186,10 +158,10 @@ func Multijob(smoke bool) (*MultijobResult, error) {
 	// Every (load, mode) cell is an independent simulation.
 	type latCell struct{ p50, p95, p99 sim.Duration }
 	latModes := []run.Mode{run.Monotasks, run.Spark}
-	latCells, err := sweep.Run(len(loads)*len(latModes), func(i int) (latCell, error) {
+	latCells, err := sweep.Run(ctx, setup.Workers, len(loads)*len(latModes), func(i int) (latCell, error) {
 		load, mode := loads[i/len(latModes)], latModes[i%len(latModes)]
 		m := stream(fmt.Sprintf("load%02.0f", load*100), jobsPerLoad, float64(out.SoloSeconds)/load, nil)
-		r, err := runMultijob(run.Options{Mode: mode}, m, nil)
+		r, err := runMultijob(ctx, setup, run.Options{Mode: mode}, m)
 		if err != nil {
 			return latCell{}, err
 		}
@@ -230,42 +202,35 @@ func Multijob(smoke bool) (*MultijobResult, error) {
 	batchPools := []string{"prod", "adhoc"}
 	batch := stream("batch", out.BatchJobs, float64(out.SoloSeconds)/16, batchPools)
 
-	// Pool shares are sampled live: every half second, record each pool's
-	// running and pending task counts. The mono batch (with its sampler),
-	// the Spark batch, and the two solo ground-truth runs are four
-	// independent simulations, so they all go through the sweep pool; the
-	// sampler closes over a cell-local slice returned with the run.
-	type poolSample struct {
-		at            sim.Time
-		running, pend map[string]int
-	}
+	// Pool shares are sampled live: every half second of virtual time, the
+	// mono batch's telemetry sampler records each pool's running and
+	// pending task counts. The mono batch (with its sampler), the Spark
+	// batch, and the two solo ground-truth runs are four independent
+	// simulations, so they all go through the sweep pool; the sampler
+	// streams into a cell-local slice returned with the run.
 	type batchCell struct {
 		r       *multijobRun
-		samples []poolSample
+		samples []telemetry.Snapshot
 	}
 	truthVPK := []int{10, 50}
-	batchCells, err := sweep.Run(4, func(i int) (batchCell, error) {
+	batchCells, err := sweep.Run(ctx, setup.Workers, 4, func(i int) (batchCell, error) {
 		switch i {
 		case 0:
-			var samples []poolSample
-			sampler := func(d *jobsched.Driver, now sim.Time) {
-				s := poolSample{at: now, running: map[string]int{}, pend: map[string]int{}}
-				for _, pc := range poolCfg.Pools {
-					s.running[pc.Name] = d.RunningTasks(pc.Name)
-					s.pend[pc.Name] = d.PendingTasks(pc.Name)
-				}
-				samples = append(samples, s)
-			}
-			r, err := runMultijob(run.Options{Mode: run.Monotasks, Sched: poolCfg}, batch, sampler)
+			var samples []telemetry.Snapshot
+			o := run.Options{Mode: run.Monotasks, Sched: poolCfg, OnTelemetry: setup.Telemetry,
+				Telemetry: &telemetry.Config{Interval: 0.5, OnSnapshot: func(s *telemetry.Snapshot) {
+					samples = append(samples, telemetry.Snapshot{T1: s.T1, Pools: s.Pools})
+				}}}
+			r, err := runMultijob(ctx, setup, o, batch)
 			return batchCell{r: r, samples: samples}, err
 		case 1:
-			r, err := runMultijob(run.Options{Mode: run.Spark, Sched: poolCfg}, batch, nil)
+			r, err := runMultijob(ctx, setup, run.Options{Mode: run.Spark, Sched: poolCfg}, batch)
 			return batchCell{r: r}, err
 		default:
 			vpk := truthVPK[i-2]
 			m := stream(fmt.Sprintf("truth-%dv", vpk), 1, 0, nil)
 			m.ValuesPerKey = []int{vpk}
-			r, err := runMultijob(run.Options{Mode: run.Monotasks}, m, nil)
+			r, err := runMultijob(ctx, setup, run.Options{Mode: run.Monotasks}, m)
 			return batchCell{r: r}, err
 		}
 	})
@@ -289,12 +254,16 @@ func Multijob(smoke bool) (*MultijobResult, error) {
 	settle := lastArrival + sim.Time(float64(out.SoloSeconds)/4)
 	poolRunning := map[string]float64{}
 	for _, s := range samples {
-		if s.at < settle {
+		if s.T1 < settle {
 			continue
+		}
+		stats := map[string]telemetry.PoolStat{}
+		for _, p := range s.Pools {
+			stats[p.Name] = p
 		}
 		backlogged := true
 		for _, pc := range poolCfg.Pools {
-			if s.pend[pc.Name] == 0 {
+			if stats[pc.Name].Pending == 0 {
 				backlogged = false
 			}
 		}
@@ -302,7 +271,7 @@ func Multijob(smoke bool) (*MultijobResult, error) {
 			continue
 		}
 		for _, pc := range poolCfg.Pools {
-			poolRunning[pc.Name] += float64(s.running[pc.Name])
+			poolRunning[pc.Name] += float64(stats[pc.Name].Running)
 		}
 	}
 	var weightSum, runningSum float64

@@ -11,7 +11,7 @@ import (
 // shares within 10% of their weights, and mono-mode attribution stays
 // near-exact at N jobs while Spark's slot-share split mispredicts.
 func TestMultijobSmoke(t *testing.T) {
-	r, err := Multijob(true)
+	r, err := Multijob(bg, allCPUs(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,117 @@
+package figures
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/run"
+	"repro/internal/telemetry"
+	"repro/internal/units"
+	"repro/internal/workloads"
+	"repro/monospark"
+)
+
+// TestTelemetryReachesEveryRun: a Setup's telemetry sink receives one
+// sampler per simulated run, including the runs that build their own
+// driver wiring (the failure matrix, the multi-job streams and the phase
+// round-robin cells).
+func TestTelemetryReachesEveryRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want int64
+		run  func(Setup) error
+	}{
+		{"failure", 24, func(s Setup) error { _, err := Failure(bg, s); return err }},
+		{"multijob", 7, func(s Setup) error { _, err := Multijob(bg, s, true); return err }},
+		{"phase-rr", 2, func(s Setup) error { _, err := AblationPhaseRR(bg, s); return err }},
+	} {
+		var n atomic.Int64
+		setup := Setup{Workers: 4, Telemetry: func(s *telemetry.Sampler) {
+			if len(s.Snapshots()) == 0 {
+				t.Errorf("%s: sampler captured no snapshots", tc.name)
+			}
+			n.Add(1)
+		}}
+		if err := tc.run(setup); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := n.Load(); got != tc.want {
+			t.Errorf("%s: sink received %d samplers, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCancelledContextStopsEveryCell: each per-cell runner honours its
+// context, so a cancelled experiment aborts cells already simulating
+// instead of draining them.
+func TestCancelledContextStopsEveryCell(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	setup := Setup{Workers: 1}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"execute", func() error {
+			_, err := execute(ctx, setup, 2, cluster.M2_4XLarge(), run.Options{Mode: run.Monotasks},
+				workloads.Sort{TotalBytes: units.GB, ValuesPerKey: 10}.Build)
+			return err
+		}},
+		{"failureRun", func() error {
+			_, _, err := failureRun(ctx, setup, run.Spark, 2, false, 10)
+			return err
+		}},
+		{"runMultijob", func() error {
+			_, err := runMultijob(ctx, setup, run.Options{Mode: run.Monotasks}, workloads.MultiJob{
+				Name: "cancelled", Jobs: 2, MeanInterarrival: 5, Seed: 7,
+				JobBytes: units.GB, MapTasks: 8, ReduceTasks: 4,
+			})
+			return err
+		}},
+		{"phaseRRCell", func() error {
+			_, err := phaseRRCell(ctx, setup, true)
+			return err
+		}},
+		{"chaosRun", func() error {
+			_, err := chaosRun(ctx, setup, 1, monospark.Monotasks)
+			return err
+		}},
+	} {
+		if err := tc.run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: got %v, want an error matching context.Canceled", tc.name, err)
+		}
+	}
+}
+
+// TestChaosVerify: the verdict check passes only when every seed is both
+// correct and reproducible, and names each seed that is not.
+func TestChaosVerify(t *testing.T) {
+	ok := &ChaosResult{Rows: []ChaosRow{
+		{Seed: 1, Correct: true, Reproducible: true},
+		{Seed: 2, Correct: true, Reproducible: true},
+	}}
+	if err := ok.Verify(); err != nil {
+		t.Fatalf("all-good verdicts failed: %v", err)
+	}
+	bad := &ChaosResult{Rows: []ChaosRow{
+		{Seed: 1, Correct: true, Reproducible: true},
+		{Seed: 2, Correct: false, Reproducible: true},
+		{Seed: 3, Correct: true, Reproducible: true},
+		{Seed: 4, Correct: true, Reproducible: false},
+	}}
+	err := bad.Verify()
+	if err == nil {
+		t.Fatal("false verdicts passed")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "2 (correct=false") || !strings.Contains(msg, "4 (correct=true reproducible=false)") {
+		t.Fatalf("verdict error %q should name seeds 2 and 4", msg)
+	}
+	if strings.Contains(msg, "1 (") || strings.Contains(msg, "3 (") {
+		t.Fatalf("verdict error %q names a passing seed", msg)
+	}
+}

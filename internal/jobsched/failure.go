@@ -54,12 +54,6 @@ type Config struct {
 	// (weight 1, fair-share, unlimited) unless declared here, so the zero
 	// Config behaves exactly like the single-tenant driver.
 	Pools []PoolConfig
-
-	// DisableControlPlaneCache turns off this driver's execution-template
-	// memoization (see template.go): every submission rebuilds its template
-	// from the spec. Results must be bit-identical either way — the knob
-	// exists so tests can prove that.
-	DisableControlPlaneCache bool
 }
 
 func (c Config) withDefaults() Config {

@@ -26,24 +26,6 @@ import (
 // template, which templateFor guards against by structurally re-validating
 // every cache hit and bypassing the cache (fresh build) on mismatch.
 
-// templateCacheEnabled is the package-level switch for the execution-template
-// cache. Tests flip it off to prove cache-on and cache-off runs are
-// bit-identical; Config.DisableControlPlaneCache is the per-driver knob.
-var templateCacheEnabled = true
-
-// SetTemplateCache enables or disables template memoization process-wide and
-// reports the previous setting. With the cache off, every submission builds
-// its template from scratch — same instantiation path, no reuse — so any
-// behavioural difference between the two settings is a bug.
-func SetTemplateCache(enabled bool) bool {
-	prev := templateCacheEnabled
-	templateCacheEnabled = enabled
-	return prev
-}
-
-// TemplateCacheEnabled reports the package-level cache switch.
-func TemplateCacheEnabled() bool { return templateCacheEnabled }
-
 // jobTemplate is the memoized shape of one job: DAG bookkeeping that Submit
 // would otherwise recompute per submission.
 type jobTemplate struct {
@@ -122,13 +104,11 @@ func (d *Driver) fingerprint(spec *task.JobSpec) []byte {
 	return buf
 }
 
-// templateFor returns the job's template, from the cache when allowed. Cache
-// hits are structurally re-validated; a mismatch (fingerprint collision)
-// bypasses the cache with a fresh build rather than trusting a wrong shape.
+// templateFor returns the job's template, from the cache when it holds one
+// of the same shape. Cache hits are structurally re-validated; a mismatch
+// (fingerprint collision) bypasses the cache with a fresh build rather than
+// trusting a wrong shape.
 func (d *Driver) templateFor(spec *task.JobSpec) *jobTemplate {
-	if !templateCacheEnabled || d.cfg.DisableControlPlaneCache {
-		return buildTemplate(spec)
-	}
 	fp := d.fingerprint(spec)
 	if t, ok := d.templates[string(fp)]; ok {
 		if t.matches(spec) {

@@ -47,22 +47,24 @@ func TestTemplateCacheReuseAndBypass(t *testing.T) {
 	if got := d.templateFor(diamondSpec("b", 3)); got != tplA {
 		t.Fatal("same-shaped spec did not hit the template cache")
 	}
-	if got := d.templateFor(diamondSpec("c", 5)); got == tplA {
+	tplC := d.templateFor(diamondSpec("c", 5))
+	if tplC == tplA {
 		t.Fatal("different task count reused a mismatched template")
 	}
-
-	// Per-driver disable: every lookup builds fresh.
-	_, off := monoDriver(t, 2, Config{DisableControlPlaneCache: true})
-	first := off.templateFor(specA)
-	if second := off.templateFor(specA); second == first {
-		t.Fatal("DisableControlPlaneCache still memoized templates")
+	if got := d.templateFor(diamondSpec("d", 5)); got != tplC {
+		t.Fatal("second shape was not cached alongside the first")
 	}
 
-	// Package-level disable: same contract, flipped globally.
-	prev := SetTemplateCache(false)
-	defer SetTemplateCache(prev)
+	// The cache belongs to its driver: a fresh driver builds its own.
+	_, other := monoDriver(t, 2, Config{})
+	if got := other.templateFor(specA); got == tplA {
+		t.Fatal("two drivers shared one template cache")
+	}
+
+	// An emptied cache is bypassed: the next lookup builds afresh.
+	d.templates = nil
 	if got := d.templateFor(specA); got == tplA {
-		t.Fatal("SetTemplateCache(false) still served the cached template")
+		t.Fatal("emptied cache still served the old template")
 	}
 }
 
@@ -87,20 +89,24 @@ func TestTemplateCollisionGuard(t *testing.T) {
 	}
 }
 
-// TestInstantiateMatchesDirectBuild submits the same diamond through a
-// cached template and through a cache-disabled driver and compares every
-// piece of initial stage state.
+// TestInstantiateMatchesDirectBuild instantiates the same diamond from a
+// cached template (a real cache hit, after a same-shaped submission) and
+// from a template built directly from the spec, then compares every piece
+// of initial stage state.
 func TestInstantiateMatchesDirectBuild(t *testing.T) {
-	_, cached := monoDriver(t, 2, Config{})
-	_, direct := monoDriver(t, 2, Config{DisableControlPlaneCache: true})
-	ha, err := cached.Submit(diamondSpec("a", 3))
+	_, d := monoDriver(t, 2, Config{})
+	warm, err := d.Submit(diamondSpec("warm", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := direct.Submit(diamondSpec("b", 3))
-	if err != nil {
-		t.Fatal(err)
+	ha := &JobHandle{Spec: diamondSpec("a", 3), Metrics: &task.JobMetrics{Name: "a"}}
+	cached := d.templateFor(ha.Spec)
+	if cached != warm.tpl {
+		t.Fatal("same-shaped spec missed the template cache")
 	}
+	d.instantiate(ha, cached)
+	hb := &JobHandle{Spec: diamondSpec("b", 3), Metrics: &task.JobMetrics{Name: "b"}}
+	d.instantiate(hb, buildTemplate(hb.Spec))
 	if len(ha.stages) != len(hb.stages) {
 		t.Fatalf("stage counts differ: %d vs %d", len(ha.stages), len(hb.stages))
 	}
@@ -110,8 +116,14 @@ func TestInstantiateMatchesDirectBuild(t *testing.T) {
 			t.Fatalf("stage %d state differs: waitingOn %d/%d hasChildren %v/%v",
 				i, a.waitingOn, b.waitingOn, a.hasChildren, b.hasChildren)
 		}
-		if len(a.attempts) != a.spec.NumTasks || len(b.attempts) != b.spec.NumTasks {
-			t.Fatalf("stage %d attempts sized %d/%d, want %d", i, len(a.attempts), len(b.attempts), a.spec.NumTasks)
+		if len(a.pending) != len(b.pending) || len(a.doneTasks) != len(b.doneTasks) ||
+			len(a.failures) != len(b.failures) || len(a.attempts) != a.spec.NumTasks || len(b.attempts) != b.spec.NumTasks {
+			t.Fatalf("stage %d per-task arrays sized differently", i)
+		}
+		for ti := range a.pending {
+			if a.pending[ti] != b.pending[ti] {
+				t.Fatalf("stage %d pending order differs: %v vs %v", i, a.pending, b.pending)
+			}
 		}
 	}
 }

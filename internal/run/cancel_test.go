@@ -85,13 +85,17 @@ func TestVirtualDeadlineAborts(t *testing.T) {
 	}
 }
 
+// TestWallDeadlineAborts: a wall-clock bound is a context deadline, polled
+// like any other cancellation.
 func TestWallDeadlineAborts(t *testing.T) {
 	c := cluster.MustNew(2, cluster.M2_4XLarge())
 	fs, _ := dfs.New(dfs.Config{Machines: 2, DisksPerMachine: 2})
-	o := Options{Mode: Monotasks, WallDeadline: time.Now().Add(-time.Second)}
-	_, err := Jobs(c, fs, o, cancelSpec("wall", 8))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired wall deadline: want DeadlineExceeded, got %v", err)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := JobsContext(ctx, c, fs, Options{Mode: Monotasks}, cancelSpec("wall", 8))
+	var aerr *AbortError
+	if !errors.As(err, &aerr) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired wall deadline: want an *AbortError matching DeadlineExceeded, got %v", err)
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 	"time"
 )
 
+var bg = context.Background()
+
 func TestResultsInCellOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
-		got, err := RunWorkers(workers, 50, func(i int) (int, error) { return i * i, nil })
+		got, err := Run(bg, workers, 50, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -30,7 +32,7 @@ func TestResultsInCellOrder(t *testing.T) {
 func TestFailedCellsReportedInOrder(t *testing.T) {
 	wantErr := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		got, err := RunWorkers(workers, 20, func(i int) (int, error) {
+		got, err := Run(bg, workers, 20, func(i int) (int, error) {
 			if i == 7 || i == 13 {
 				return 0, fmt.Errorf("cell says %d: %w", i, wantErr)
 			}
@@ -57,7 +59,7 @@ func TestFailedCellsReportedInOrder(t *testing.T) {
 
 func TestPanicBecomesCellError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		got, err := RunWorkers(workers, 10, func(i int) (int, error) {
+		got, err := Run(bg, workers, 10, func(i int) (int, error) {
 			if i == 3 {
 				panic("kaput")
 			}
@@ -77,25 +79,40 @@ func TestPanicBecomesCellError(t *testing.T) {
 }
 
 func TestDeadlineFailsUnstartedCells(t *testing.T) {
-	defer SetDeadline(time.Time{})
-	SetDeadline(time.Now().Add(-time.Second))
-	_, err := RunWorkers(4, 8, func(i int) (int, error) {
+	ctx, cancel := context.WithDeadline(bg, time.Now().Add(-time.Second))
+	defer cancel()
+	_, err := Run(ctx, 4, 8, func(i int) (int, error) {
 		t.Errorf("cell %d ran past the deadline", i)
 		return i, nil
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired sweep deadline: want DeadlineExceeded in chain, got %v", err)
 	}
-	// Clearing the deadline restores normal operation.
-	SetDeadline(time.Time{})
-	if _, err := RunWorkers(4, 8, func(i int) (int, error) { return i, nil }); err != nil {
-		t.Fatalf("after clearing deadline: %v", err)
+	// A cancelled context stops the cells that have not started yet; the
+	// ones already running finish.
+	ctx, cancel = context.WithCancel(bg)
+	defer cancel()
+	got, err := Run(ctx, 1, 8, func(i int) (int, error) {
+		if i == 2 {
+			cancel()
+		}
+		return i + 1, nil
+	})
+	if !errors.Is(err, context.Canceled) || strings.Contains(err.Error(), "cell 2:") || !strings.Contains(err.Error(), "cell 3:") {
+		t.Fatalf("cancel during cell 2: want cells 3-7 failed with context.Canceled, got %v", err)
+	}
+	if got[2] != 3 || got[3] != 0 {
+		t.Fatalf("results after cancel = %v, want cells 0-2 filled and the rest zero", got)
+	}
+	// An untouched context runs every cell.
+	if _, err := Run(bg, 4, 8, func(i int) (int, error) { return i, nil }); err != nil {
+		t.Fatalf("live context: %v", err)
 	}
 }
 
 func TestEveryCellRunsExactlyOnce(t *testing.T) {
 	var calls [200]atomic.Int32
-	_, err := RunWorkers(16, len(calls), func(i int) (struct{}, error) {
+	_, err := Run(bg, 16, len(calls), func(i int) (struct{}, error) {
 		calls[i].Add(1)
 		return struct{}{}, nil
 	})
@@ -110,21 +127,28 @@ func TestEveryCellRunsExactlyOnce(t *testing.T) {
 }
 
 func TestZeroCells(t *testing.T) {
-	got, err := Run(0, func(i int) (int, error) { t.Fatal("called"); return 0, nil })
+	got, err := Run(bg, 4, 0, func(i int) (int, error) { t.Fatal("called"); return 0, nil })
 	if err != nil || got != nil {
 		t.Fatalf("Run(0) = %v, %v; want nil, nil", got, err)
 	}
 }
 
-func TestSetParallelismClamps(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	SetParallelism(-3)
-	if Parallelism() != 1 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(-3), want 1", Parallelism())
-	}
-	SetParallelism(8)
-	if Parallelism() != 8 {
-		t.Fatalf("Parallelism() = %d, want 8", Parallelism())
+// TestNonPositiveWorkersRunSerially: a worker count below one runs the
+// cells inline, in order, on the calling goroutine.
+func TestNonPositiveWorkersRunSerially(t *testing.T) {
+	for _, workers := range []int{-3, 0, 1} {
+		var order []int
+		got, err := Run(bg, workers, 5, func(i int) (int, error) {
+			order = append(order, i)
+			return i, nil
+		})
+		if err != nil || len(got) != 5 {
+			t.Fatalf("workers=%d: %v, %v", workers, got, err)
+		}
+		for i, c := range order {
+			if c != i {
+				t.Fatalf("workers=%d ran cells in order %v, want serial 0..4", workers, order)
+			}
+		}
 	}
 }

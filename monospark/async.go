@@ -115,15 +115,9 @@ func (c *Context) AwaitContext(ctx context.Context) ([]*JobRun, error) {
 	}
 	batch := c.pendingAsync
 	c.pendingAsync = nil
-	d, err := jobsched.NewWithConfig(c.cluster, c.fs, c.execs, c.driverConfig())
+	d, err := c.driver()
 	if err != nil {
 		return nil, err
-	}
-	if c.injector != nil {
-		c.injector.Bind(d)
-	}
-	if c.sampler != nil {
-		c.sampler.Bind(d)
 	}
 	handles := make([]*jobsched.JobHandle, len(batch))
 	var firstErr error
@@ -142,8 +136,7 @@ func (c *Context) AwaitContext(ctx context.Context) ([]*JobRun, error) {
 		}
 		handles[i] = h
 	}
-	c.runDriver(ctx, d)
-	if aerr := c.aborted; aerr != nil && firstErr == nil {
+	if _, aerr := c.drain(ctx, d); aerr != nil && firstErr == nil {
 		firstErr = aerr
 	}
 	var runs []*JobRun

@@ -2,7 +2,6 @@ package monospark
 
 import (
 	"repro/internal/faults"
-	"repro/internal/jobsched"
 	"repro/internal/sim"
 )
 
@@ -58,8 +57,9 @@ type ChaosConfig struct {
 	FetchRetryTimeout    float64
 }
 
-// initChaos builds and installs the fault injector. Called once by New,
-// before executors exist and before the engine has advanced.
+// initChaos builds the fault injector. Called once by New, before the
+// executors exist; the run layer installs its plan on the engine with the
+// first job's driver and binds every later driver.
 func (c *Context) initChaos() error {
 	ch := c.cfg.Chaos
 	var plan faults.Plan
@@ -83,30 +83,18 @@ func (c *Context) initChaos() error {
 	if err != nil {
 		return err
 	}
-	inj.Install()
-	c.injector = inj
+	c.opts.Faults = inj
+	c.opts.Sched.MaxTaskFailures = ch.MaxTaskFailures
+	c.opts.Sched.ExcludeAfterFailures = ch.ExcludeAfterFailures
+	c.opts.Sched.FetchRetryTimeout = sim.Duration(ch.FetchRetryTimeout)
 	return nil
-}
-
-// driverConfig is the per-job driver policy derived from the Context config.
-func (c *Context) driverConfig() jobsched.Config {
-	cfg := jobsched.Config{
-		Speculation: c.cfg.Speculation,
-		Pools:       c.cfg.Pools,
-	}
-	if ch := c.cfg.Chaos; ch != nil {
-		cfg.MaxTaskFailures = ch.MaxTaskFailures
-		cfg.ExcludeAfterFailures = ch.ExcludeAfterFailures
-		cfg.FetchRetryTimeout = sim.Duration(ch.FetchRetryTimeout)
-	}
-	return cfg
 }
 
 // FaultEvents returns the faults injected so far across all jobs run on
 // this Context, in injection order. Empty unless Config.Chaos is set.
 func (c *Context) FaultEvents() []FaultRecord {
-	if c.injector == nil {
+	if c.opts.Faults == nil {
 		return nil
 	}
-	return c.injector.Log()
+	return c.opts.Faults.Log()
 }

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
-	"repro/internal/faults"
+	"repro/internal/jobsched"
 	"repro/internal/run"
 	"repro/internal/task"
 	"repro/internal/telemetry"
@@ -17,11 +17,14 @@ import (
 // Context owns a virtual cluster and creates Datasets on it. A Context is
 // not safe for concurrent use; like a SparkContext, one goroutine drives it.
 type Context struct {
-	cfg      Config
-	cluster  *cluster.Cluster
-	fs       *dfs.FS
+	cfg     Config
+	cluster *cluster.Cluster
+	fs      *dfs.FS
+	// opts is how every job on the Context runs: executor mode, driver
+	// policy, and the fault injector, if any. The executors are built from
+	// it once; each job's driver comes from run.DriverWith with it.
+	opts     run.Options
 	execs    []task.Executor
-	injector *faults.Injector
 	sampler  *telemetry.Sampler
 	jobSeq   int
 	fileSeq  int
@@ -57,35 +60,30 @@ func New(cfg Config) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := &Context{cfg: cfg, cluster: c, fs: fs}
+	ctx := &Context{cfg: cfg, cluster: c, fs: fs, opts: run.Options{
+		TasksPerMachine: cfg.TasksPerMachine,
+		Sched:           jobsched.Config{Speculation: cfg.Speculation, Pools: cfg.Pools},
+	}}
+	switch cfg.Mode {
+	case Spark:
+		ctx.opts.Mode = run.Spark
+	case SparkWithFlushedWrites:
+		ctx.opts.Mode = run.SparkWriteThrough
+	default:
+		ctx.opts.Mode = run.Monotasks
+	}
 	if cfg.Chaos != nil {
 		if err := ctx.initChaos(); err != nil {
 			return nil, err
 		}
 	}
-	ctx.execs = run.Executors(c, ctx.runOptions())
+	ctx.execs = run.Executors(c, ctx.opts)
 	if cfg.Telemetry != nil {
 		// The sampler outlives per-job drivers; each job run binds the fresh
 		// driver (runJob, Await), so one snapshot stream spans the session.
 		ctx.sampler = telemetry.Start(c, nil, *cfg.Telemetry)
 	}
 	return ctx, nil
-}
-
-func (c *Context) runOptions() run.Options {
-	o := run.Options{TasksPerMachine: c.cfg.TasksPerMachine}
-	if c.injector != nil {
-		o.Faults = c.injector
-	}
-	switch c.cfg.Mode {
-	case Spark:
-		o.Mode = run.Spark
-	case SparkWithFlushedWrites:
-		o.Mode = run.SparkWriteThrough
-	default:
-		o.Mode = run.Monotasks
-	}
-	return o
 }
 
 // Config returns the context's effective configuration.

@@ -393,24 +393,16 @@ func (c *Context) runJobContext(ctx context.Context, spec *task.JobSpec) (*task.
 	if err := c.usable(); err != nil {
 		return nil, err
 	}
-	d, err := jobsched.NewWithConfig(c.cluster, c.fs, c.execs, c.driverConfig())
+	d, err := c.driver()
 	if err != nil {
 		return nil, err
-	}
-	if c.injector != nil {
-		// The injector outlives per-job drivers: point it at this one and
-		// replay machines that are currently down into its dead set.
-		c.injector.Bind(d)
-	}
-	if c.sampler != nil {
-		c.sampler.Bind(d)
 	}
 	h, err := d.Submit(spec)
 	if err != nil {
 		return nil, err
 	}
-	ms := c.runDriver(ctx, d)
-	if err := c.aborted; err != nil {
+	ms, err := c.drain(ctx, d)
+	if err != nil {
 		return nil, fmt.Errorf("monospark: %s: %w", spec.Name, err)
 	}
 	if err := h.Err(); err != nil {
@@ -419,35 +411,35 @@ func (c *Context) runJobContext(ctx context.Context, spec *task.JobSpec) (*task.
 	return ms[0], nil
 }
 
+// driver builds the next job's driver over the Context's executors. The run
+// layer installs the fault plan with the first driver and binds each one,
+// replaying machines that are currently down into its dead set; the
+// session's sampler, which outlives per-job drivers, is pointed at it too.
+func (c *Context) driver() (*jobsched.Driver, error) {
+	d, err := run.DriverWith(c.cluster, c.fs, c.execs, c.opts)
+	if err != nil {
+		return nil, err
+	}
+	if c.sampler != nil {
+		c.sampler.Bind(d)
+	}
+	return d, nil
+}
+
+// drain runs d under ctx's cancellation. A cancelled run fails the
+// in-flight jobs with the returned *run.AbortError and poisons the Context.
+func (c *Context) drain(ctx context.Context, d *jobsched.Driver) ([]*task.JobMetrics, error) {
+	ms, err := run.Drain(ctx, c.cluster, d, c.opts)
+	if err != nil {
+		c.aborted = err
+	}
+	return ms, err
+}
+
 // usable rejects further runs on a Context poisoned by a cancelled run.
 func (c *Context) usable() error {
 	if c.aborted != nil {
 		return fmt.Errorf("monospark: context unusable after a cancelled run (%w); create a fresh Context", c.aborted)
 	}
 	return nil
-}
-
-// runDriver drains d under ctx's cancellation. On abort it fails the
-// in-flight jobs with a descriptive *run.AbortError and poisons the Context.
-func (c *Context) runDriver(ctx context.Context, d *jobsched.Driver) []*task.JobMetrics {
-	eng := c.cluster.Engine
-	if done := ctx.Done(); done != nil {
-		eng.SetAbortCheck(0, func() error {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-				return nil
-			}
-		})
-		defer eng.SetAbortCheck(0, nil)
-	}
-	ms := d.Run()
-	if reason := eng.AbortErr(); reason != nil {
-		eng.ClearAbort()
-		aerr := &run.AbortError{Reason: reason, At: eng.Now()}
-		d.AbortAll(aerr)
-		c.aborted = aerr
-	}
-	return ms
 }

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 // BenchResult is one microbenchmark's measurement.
@@ -152,22 +151,19 @@ func BenchFabricAllToAll(b *testing.B) {
 
 // timedRender runs the experiment at the given sweep worker count and
 // returns its rendered output plus the wall-clock time.
-func timedRender(render func() ([]byte, error), workers int) ([]byte, time.Duration, error) {
-	old := sweep.Parallelism()
-	sweep.SetParallelism(workers)
-	defer sweep.SetParallelism(old)
+func timedRender(render func(workers int) ([]byte, error), workers int) ([]byte, time.Duration, error) {
 	start := time.Now()
-	out, err := render()
+	out, err := render(workers)
 	return out, time.Since(start), err
 }
 
 // CompareSweep runs the same experiment grid serially and with `workers`
 // goroutines, and reports wall-clock times plus output hashes. render must
-// execute the experiment under the process-wide sweep parallelism and return
+// execute the experiment on the sweep worker count it is given and return
 // its rendered output. Identical hashes are the determinism proof: the sweep
 // pool may execute cells in any order, but the assembled experiment output
 // must not change.
-func CompareSweep(experiment string, cells, workers int, render func() ([]byte, error)) (SweepCompare, error) {
+func CompareSweep(experiment string, cells, workers int, render func(workers int) ([]byte, error)) (SweepCompare, error) {
 	serial, serialDur, err := timedRender(render, 1)
 	if err != nil {
 		return SweepCompare{}, err
