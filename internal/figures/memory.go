@@ -137,6 +137,15 @@ func memoryCell(ctx context.Context, setup Setup, spec cluster.MachineSpec, volu
 	return row, nil
 }
 
+// Verify fails unless the sweep witnessed the bottleneck migrating from CPU
+// to memory, the experiment's finding.
+func (r *MemoryResult) Verify() error {
+	if r.MigratedAt == 0 {
+		return fmt.Errorf("memory: bottleneck never migrated to memory over %d swept volumes", len(r.Rows))
+	}
+	return nil
+}
+
 // Fprint renders the sweep table.
 func (r *MemoryResult) Fprint(w io.Writer) {
 	fprintf(w, "memory: scale-up data-volume sweep, 1 fat machine (%d cores, %.0f GB/s mem BW, %.0f GB capacity)\n",

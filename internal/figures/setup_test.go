@@ -115,3 +115,20 @@ func TestChaosVerify(t *testing.T) {
 		t.Fatalf("verdict error %q names a passing seed", msg)
 	}
 }
+
+// TestMemoryVerify: the memory verdict passes only when the sweep saw the
+// bottleneck migrate to memory.
+func TestMemoryVerify(t *testing.T) {
+	ok := &MemoryResult{Rows: make([]MemoryRow, 2), MigratedAt: 64}
+	if err := ok.Verify(); err != nil {
+		t.Fatalf("migrating sweep failed: %v", err)
+	}
+	bad := &MemoryResult{Rows: make([]MemoryRow, 2)}
+	err := bad.Verify()
+	if err == nil {
+		t.Fatal("sweep without a migration passed")
+	}
+	if !strings.Contains(err.Error(), "never migrated") {
+		t.Fatalf("verdict error %q should say the bottleneck never migrated", err)
+	}
+}
