@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/jobsched"
@@ -328,6 +329,36 @@ func Multijob(ctx context.Context, setup Setup, smoke bool) (*MultijobResult, er
 		addErrs(&out.SparkErrors, p, i)
 	}
 	return out, nil
+}
+
+// The multijob verdict's tolerances: a pool's measured slot share may miss
+// its weight share by at most multijobShareSlack, and monotask attribution
+// error at p75 may be at most multijobMonoErrPct percent.
+const (
+	multijobShareSlack = 0.05
+	multijobMonoErrPct = 0.05
+)
+
+// Verify fails unless the experiment's findings hold: every batch job
+// finished, each pool received its weighted share of slots, and monotask
+// metrics attributed the concurrent jobs' usage exactly.
+func (r *MultijobResult) Verify() error {
+	var bad []string
+	if r.BatchFinished != r.BatchJobs {
+		bad = append(bad, fmt.Sprintf("%d of %d batch jobs finished", r.BatchFinished, r.BatchJobs))
+	}
+	for _, s := range r.Shares {
+		if math.Abs(s.GotShare-s.WantShare) > multijobShareSlack {
+			bad = append(bad, fmt.Sprintf("pool %s got share %.2f, want %.2f±%.2f", s.Pool, s.GotShare, s.WantShare, multijobShareSlack))
+		}
+	}
+	if _, p75 := MedianAndP75(r.MonoErrors); p75 > multijobMonoErrPct {
+		bad = append(bad, fmt.Sprintf("mono attribution error p75 %.3f%% exceeds %.2f%%", p75, multijobMonoErrPct))
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("multijob: verdict failed: %s", strings.Join(bad, "; "))
+	}
+	return nil
 }
 
 // Fprint renders the experiment's three tables.

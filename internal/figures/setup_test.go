@@ -132,3 +132,40 @@ func TestMemoryVerify(t *testing.T) {
 		t.Fatalf("verdict error %q should say the bottleneck never migrated", err)
 	}
 }
+
+// TestMultijobVerify: the multijob verdict fails on an unfinished batch job,
+// a pool share more than 0.05 from its weight share, or a mono attribution
+// error above 0.05% at p75, and passes the shares the experiment measures.
+func TestMultijobVerify(t *testing.T) {
+	ok := func() *MultijobResult {
+		return &MultijobResult{
+			BatchJobs: 8, BatchFinished: 8,
+			Shares: []MultijobPoolShare{
+				{Pool: "prod", Weight: 3, WantShare: 0.75, GotShare: 0.73},
+				{Pool: "adhoc", Weight: 1, WantShare: 0.25, GotShare: 0.27},
+			},
+			MonoErrors: []float64{0, 0, 1e-5, 2e-5},
+		}
+	}
+	if err := ok().Verify(); err != nil {
+		t.Fatalf("passing result failed: %v", err)
+	}
+	for name, c := range map[string]struct {
+		edit func(*MultijobResult)
+		want string
+	}{
+		"unfinished":  {func(r *MultijobResult) { r.BatchFinished = 7 }, "7 of 8 batch jobs finished"},
+		"share":       {func(r *MultijobResult) { r.Shares[0].GotShare, r.Shares[1].GotShare = 0.69, 0.31 }, "pool prod got share 0.69"},
+		"attribution": {func(r *MultijobResult) { r.MonoErrors = []float64{0, 0.001, 0.001, 0.001} }, "mono attribution error p75"},
+	} {
+		r := ok()
+		c.edit(r)
+		err := r.Verify()
+		if err == nil {
+			t.Fatalf("%s: verdict passed", name)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: verdict error %q should contain %q", name, err, c.want)
+		}
+	}
+}

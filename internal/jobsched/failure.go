@@ -2,7 +2,6 @@ package jobsched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -138,13 +137,12 @@ func (d *Driver) killAttemptsOn(st *stageState, m int) {
 				continue
 			}
 			a.retired = true
-			st.running--
-			if !st.doneTasks[ti] && !st.hasLiveAttempt(ti) && !st.inPending(ti) {
-				st.pending = append(st.pending, ti)
+			d.addRunning(st, -1)
+			if !st.doneTasks[ti] && !st.hasLiveAttempt(ti) && !st.queued[ti] {
+				st.enqueue(ti)
 			}
 		}
 	}
-	sort.Ints(st.pending)
 }
 
 // childNeedsOutput reports whether any unfinished stage reads st's shuffle
@@ -170,12 +168,11 @@ func (d *Driver) reopenStage(h *JobHandle, st *stageState, lost []int) {
 		}
 		st.doneTasks[ti] = false
 		st.completed--
-		if !st.inPending(ti) && !st.hasLiveAttempt(ti) {
-			st.pending = append(st.pending, ti)
+		if !st.queued[ti] && !st.hasLiveAttempt(ti) {
+			st.enqueue(ti)
 		}
 		reopened = true
 	}
-	sort.Ints(st.pending)
 	if !reopened {
 		return
 	}
@@ -202,16 +199,15 @@ func (d *Driver) reopenStage(h *JobHandle, st *stageState, lost []int) {
 					continue
 				}
 				a.retired = true
-				child.running--
+				d.addRunning(child, -1)
 				// The slot is NOT freed here: the executor is still simulating
 				// the abandoned attempt, and its completion callback releases
 				// the slot exactly once (free = capacity − inflight).
-				if !child.doneTasks[ti] && !child.inPending(ti) && !child.hasLiveAttempt(ti) {
-					child.pending = append(child.pending, ti)
+				if !child.doneTasks[ti] && !child.queued[ti] && !child.hasLiveAttempt(ti) {
+					child.enqueue(ti)
 				}
 			}
 		}
-		sort.Ints(child.pending)
 	}
 }
 

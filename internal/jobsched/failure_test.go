@@ -1,6 +1,7 @@
 package jobsched
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -248,6 +249,53 @@ func TestRepeatedFailures(t *testing.T) {
 			}
 			if tm.Machine >= 2 && tm.End > 6 {
 				t.Fatalf("final attempt of task %d credited to failed machine %d", i, tm.Machine)
+			}
+		}
+	}
+}
+
+// TestFinishedJobsLeaveNoShuffleOutputs: a long-lived driver drops a job's
+// map outputs from the shuffle tracker once the job finishes or aborts, so
+// the tracker holds only live jobs' stages however long the stream runs.
+func TestFinishedJobsLeaveNoShuffleOutputs(t *testing.T) {
+	c, d := monoDriver(t, 3, Config{})
+	var hs []*JobHandle
+	for i := 0; i < 6; i++ {
+		c.Engine.At(sim.Time(i), func() {
+			h, err := d.Submit(mapReduceJob(6, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs = append(hs, h)
+		})
+	}
+	held := func(h *JobHandle, stage int) bool {
+		_, err := d.tracker.FetchesFor([]int{h.base + stage}, 0, 1)
+		return err == nil
+	}
+	aborted := false
+	for c.Engine.Step() {
+		for _, h := range hs {
+			if !h.finished() && h.stages[1].started && !held(h, 0) {
+				t.Fatalf("t=%v: running job %d lost its map outputs", c.Engine.Now(), h.seq)
+			}
+		}
+		if !aborted && len(hs) == 6 && hs[4].stages[1].started {
+			d.abortJob(hs[4], fmt.Errorf("test abort"))
+			aborted = true
+		}
+	}
+	d.Run()
+	if !aborted {
+		t.Fatal("job 4 never reached its reduce stage")
+	}
+	for _, h := range hs {
+		if !h.finished() {
+			t.Fatalf("job %d unfinished", h.seq)
+		}
+		for i := range h.stages {
+			if held(h, i) {
+				t.Fatalf("finished job %d (failed=%v) still holds stage %d's map outputs", h.seq, h.Failed(), i)
 			}
 		}
 	}

@@ -86,7 +86,7 @@ func (d *Driver) FailRunningTasks(m, n int, reason string) int {
 						continue
 					}
 					a.retired = true
-					st.running--
+					d.addRunning(st, -1)
 					killed++
 					d.handleAttemptFailure(st, ti, m, reason)
 					break // at most one attempt per task per call
@@ -173,7 +173,7 @@ func (d *Driver) onFetchTimeout(st *stageState, ti, w int, att *attempt) {
 		return
 	}
 	att.retired = true
-	st.running--
+	d.addRunning(st, -1)
 	d.handleAttemptFailure(st, ti, w,
 		fmt.Sprintf("shuffle fetch did not complete within the %vs fetch timeout", d.cfg.FetchRetryTimeout))
 	d.schedule()
