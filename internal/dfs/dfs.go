@@ -108,37 +108,21 @@ func (fs *FS) BlockSize() int64 { return fs.blockSize }
 // Create writes a new file of the given logical size, splitting it into
 // blocks and placing replicas round-robin. replication ≤ 0 uses 1.
 func (fs *FS) Create(path string, bytes int64, replication int) (*File, error) {
-	if _, ok := fs.files[path]; ok {
-		return nil, fmt.Errorf("dfs: %q already exists", path)
-	}
 	if bytes <= 0 {
 		return nil, fmt.Errorf("dfs: file %q needs positive size, got %d", path, bytes)
 	}
-	if replication <= 0 {
-		replication = 1
+	n := int((bytes-1)/fs.blockSize) + 1
+	blockBytes := make([]int64, n)
+	locations := make([]int, n)
+	for i := range blockBytes {
+		blockBytes[i] = min(fs.blockSize, bytes-int64(i)*fs.blockSize)
+		locations[i] = (fs.placeCursor + i) % fs.machines
 	}
-	if replication > fs.machines {
-		return nil, fmt.Errorf("dfs: replication %d exceeds machine count %d", replication, fs.machines)
+	f, err := fs.CreateAtReplicated(path, blockBytes, locations, replication)
+	if err != nil {
+		return nil, err
 	}
-	f := &File{Path: path, Bytes: bytes}
-	remaining := bytes
-	for i := 0; remaining > 0; i++ {
-		sz := fs.blockSize
-		if remaining < sz {
-			sz = remaining
-		}
-		remaining -= sz
-		b := &Block{File: path, Index: i, Bytes: sz}
-		for r := 0; r < replication; r++ {
-			m := (fs.placeCursor + r) % fs.machines
-			d := fs.diskCursor[m]
-			fs.diskCursor[m] = (d + 1) % fs.disksPerMachine
-			b.Replicas = append(b.Replicas, Location{Machine: m, Disk: d})
-		}
-		fs.placeCursor = (fs.placeCursor + 1) % fs.machines
-		f.Blocks = append(f.Blocks, b)
-	}
-	fs.files[path] = f
+	fs.placeCursor = (fs.placeCursor + n) % fs.machines
 	return f, nil
 }
 
@@ -152,6 +136,10 @@ func (fs *FS) CreateAt(path string, blockBytes []int64, locations []int) (*File,
 // following each block's primary (HDFS-style pipeline placement). Failure
 // experiments need replication ≥ 2, or a lost machine takes its blocks with
 // it for good.
+//
+// The file's blocks come from one slab and their replicas from another. Each
+// block's Replicas has capacity equal to the replication, so an append to
+// one block's replicas can never write into the next block's.
 func (fs *FS) CreateAtReplicated(path string, blockBytes []int64, locations []int, replication int) (*File, error) {
 	if _, ok := fs.files[path]; ok {
 		return nil, fmt.Errorf("dfs: %q already exists", path)
@@ -165,20 +153,23 @@ func (fs *FS) CreateAtReplicated(path string, blockBytes []int64, locations []in
 	if replication > fs.machines {
 		return nil, fmt.Errorf("dfs: replication %d exceeds machine count %d", replication, fs.machines)
 	}
-	f := &File{Path: path}
+	f := &File{Path: path, Blocks: make([]*Block, len(blockBytes))}
+	blocks := make([]Block, len(blockBytes))
+	replicas := make([]Location, len(blockBytes)*replication)
 	for i, sz := range blockBytes {
 		m := locations[i]
 		if m < 0 || m >= fs.machines {
 			return nil, fmt.Errorf("dfs: block %d location %d out of range", i, m)
 		}
-		b := &Block{File: path, Index: i, Bytes: sz}
-		for r := 0; r < replication; r++ {
+		rs := replicas[i*replication : (i+1)*replication : (i+1)*replication]
+		for r := range rs {
 			rm := (m + r) % fs.machines
 			d := fs.diskCursor[rm]
 			fs.diskCursor[rm] = (d + 1) % fs.disksPerMachine
-			b.Replicas = append(b.Replicas, Location{Machine: rm, Disk: d})
+			rs[r] = Location{Machine: rm, Disk: d}
 		}
-		f.Blocks = append(f.Blocks, b)
+		blocks[i] = Block{File: path, Index: i, Bytes: sz, Replicas: rs}
+		f.Blocks[i] = &blocks[i]
 		f.Bytes += sz
 	}
 	fs.files[path] = f

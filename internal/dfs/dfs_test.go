@@ -203,3 +203,49 @@ func TestPropertyBlockTiling(t *testing.T) {
 func pathN(i int) string {
 	return "/prop/" + string(rune('a'+i%26)) + string(rune('0'+(i/26)%10)) + string(rune('0'+i/260))
 }
+
+// TestCreateAtReplicatedAllocs: a 1,280-block file takes a handful of
+// allocations (the file, its block pointers, one block slab and one replica
+// slab) at replication 1 and 3, where one allocation per block and per
+// replica append took 2,574 and 5,134. Each block's replicas are capped at
+// the replication, so an append to one block's replicas leaves the next
+// block's alone.
+func TestCreateAtReplicatedAllocs(t *testing.T) {
+	const n = 1280
+	sizes := make([]int64, n)
+	locations := make([]int, n)
+	for i := range sizes {
+		sizes[i] = DefaultBlockSize
+		locations[i] = i % 4
+	}
+	for _, replication := range []int{1, 3} {
+		fs := newFS(t, 4, 2)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := fs.CreateAtReplicated("/f", sizes, locations, replication); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Remove("/f"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 5 {
+			t.Errorf("replication %d: %v allocations for a %d-block file, want at most 5", replication, allocs, n)
+		}
+		f, err := fs.CreateAtReplicated("/g", sizes, locations, replication)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range f.Blocks {
+			if len(b.Replicas) != replication || cap(b.Replicas) != replication {
+				t.Fatalf("replication %d: block %d has %d replicas, capacity %d", replication, i, len(b.Replicas), cap(b.Replicas))
+			}
+		}
+		next := append([]Location(nil), f.Blocks[1].Replicas...)
+		_ = append(f.Blocks[0].Replicas, Location{Machine: 99, Disk: 99})
+		for r, loc := range f.Blocks[1].Replicas {
+			if loc != next[r] {
+				t.Fatalf("replication %d: appending to block 0's replicas changed block 1's replica %d to %+v", replication, r, loc)
+			}
+		}
+	}
+}

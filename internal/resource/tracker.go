@@ -11,72 +11,156 @@
 // I/O operations.
 package resource
 
-import "repro/internal/sim"
+import (
+	"math/bits"
+
+	"repro/internal/sim"
+)
+
+// Chunk k of a Tracker holds firstChunk<<min(k, doublings) points.
+const (
+	firstShift    = 4
+	firstChunk    = 1 << firstShift
+	doublings     = 8
+	maxShift      = firstShift + doublings
+	maxChunk      = 1 << maxShift                          // 4,096
+	doubledPoints = firstChunk<<(doublings+1) - firstChunk // 8,176, in chunks 0..doublings
+)
+
+// point is one transition: the tracked value becomes v at time t.
+type point struct {
+	t sim.Time
+	v float64
+}
 
 // Tracker records a step function of utilization (0..1) over virtual time.
 // Devices call Set whenever their busy fraction changes; experiment code
 // reads back means and percentile samples (Figs. 2, 6 and 9 are produced
 // from these timelines).
+//
+// The transitions are stored in chunks that are allocated once, at their
+// final size, and never copied: chunk k holds min(16·2^k, 4,096) points.
+// Growing one slice with append would re-copy the whole timeline every time
+// it outgrew its capacity; at 100,000 points those copies come to 5× the
+// points' own size. A timeline of up to 16 points takes one 16-point
+// chunk, and at most one chunk (≤ 4,096 points) of any timeline is unused
+// capacity. Point i's chunk and offset follow from i by arithmetic
+// (locate). The zero value is an empty timeline.
 type Tracker struct {
-	times  []sim.Time
-	values []float64
+	// cur is the last chunk, sliced to the points recorded in it. Set
+	// compares with its last point and appends within its capacity.
+	cur []point
+	// chunks holds every chunk, cur last, each as allocated (length 0, so
+	// Set appends it without reslicing and stays within the inliner's
+	// budget); readers reslice a chunk to its capacity.
+	chunks [][]point
 }
 
 // Set records that the tracked value becomes v at time t. Calls must have
 // non-decreasing t; a repeat at the same t overwrites the prior value.
+//
+// Set is small enough for the compiler to inline into every device's
+// update: a new chunk is allocated in place rather than by a call, because
+// any call would use most of the inliner's budget.
 func (tr *Tracker) Set(t sim.Time, v float64) {
-	n := len(tr.times)
-	if n > 0 && t < tr.times[n-1] {
-		panic("resource: Tracker.Set with decreasing time")
+	c := tr.cur
+	if len(c) > 0 {
+		if p := &c[len(c)-1]; t <= p.t {
+			if t < p.t {
+				panic("resource: Tracker.Set with decreasing time")
+			}
+			p.v = v
+			return
+		} else if v == p.v {
+			// Coalesce no-op transitions to keep the series compact.
+			return
+		}
 	}
-	if n > 0 && tr.times[n-1] == t {
-		tr.values[n-1] = v
-		return
+	if len(c) == cap(c) {
+		c = make([]point, 0, firstChunk<<min(len(tr.chunks), doublings))
+		tr.chunks = append(tr.chunks, c)
 	}
-	// Coalesce no-op transitions to keep the series compact.
-	if n > 0 && tr.values[n-1] == v {
-		return
-	}
-	tr.times = append(tr.times, t)
-	tr.values = append(tr.values, v)
+	tr.cur = append(c, point{t, v})
 }
 
-// At returns the tracked value at time t (0 before the first sample).
-func (tr *Tracker) At(t sim.Time) float64 {
-	// Binary search for the last transition ≤ t.
-	lo, hi := 0, len(tr.times)
+// locate returns the chunk holding point i and i's offset in it.
+func locate(i int) (k, off int) {
+	if i < doubledPoints {
+		// Chunk k ≤ doublings starts at point firstChunk·(2^k − 1), so
+		// i+firstChunk lies in [firstChunk·2^k, firstChunk·2^(k+1)).
+		k = bits.Len(uint(i+firstChunk)) - firstShift - 1
+		return k, i + firstChunk - firstChunk<<k
+	}
+	i -= doubledPoints
+	return doublings + 1 + i>>maxShift, i & (maxChunk - 1)
+}
+
+// chunkStart returns the index of chunk k's first point.
+func chunkStart(k int) int {
+	if k <= doublings+1 {
+		return firstChunk<<k - firstChunk
+	}
+	return doubledPoints + (k-doublings-1)<<maxShift
+}
+
+// at returns point i, 0 ≤ i < Len().
+func (tr *Tracker) at(i int) point {
+	k, off := locate(i)
+	c := tr.chunks[k]
+	return c[:cap(c)][off]
+}
+
+// Len reports the number of recorded transitions.
+func (tr *Tracker) Len() int {
+	// Every chunk before cur is full.
+	return chunkStart(len(tr.chunks)) - cap(tr.cur) + len(tr.cur)
+}
+
+// valueBefore returns the value of point i-1, or 0 when i is 0.
+func (tr *Tracker) valueBefore(i int) float64 {
+	if i == 0 {
+		return 0
+	}
+	return tr.at(i - 1).v
+}
+
+// firstAfter returns the index of the first transition with time > t
+// (Len() if none).
+func (tr *Tracker) firstAfter(t sim.Time) int {
+	lo, hi := 0, tr.Len()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if tr.times[mid] <= t {
+		if tr.at(mid).t <= t {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == 0 {
-		return 0
-	}
-	return tr.values[lo-1]
+	return lo
 }
+
+// firstAtOrAfter returns the index of the first transition with time ≥ t
+// (Len() if none).
+func (tr *Tracker) firstAtOrAfter(t sim.Time) int {
+	lo, hi := 0, tr.Len()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if tr.at(mid).t < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// At returns the tracked value at time t (0 before the first sample).
+func (tr *Tracker) At(t sim.Time) float64 { return tr.valueBefore(tr.firstAfter(t)) }
 
 // Before returns the tracked value just before time t (0 if no earlier
 // transition). Cumulative-counter users should read windows with Delta, which
 // is built on Before at both edges so windows tile without double-counting.
-func (tr *Tracker) Before(t sim.Time) float64 {
-	lo, hi := 0, len(tr.times)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if tr.times[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return tr.values[lo-1]
-}
+func (tr *Tracker) Before(t sim.Time) float64 { return tr.valueBefore(tr.firstAtOrAfter(t)) }
 
 // Delta returns the growth of a cumulative counter over the half-open
 // window [t0, t1): transitions stamped exactly at t0 count, transitions
@@ -91,19 +175,35 @@ func (tr *Tracker) Delta(t0, t1 sim.Time) float64 {
 	return tr.Before(t1) - tr.Before(t0)
 }
 
-// firstAfter returns the index of the first transition with time > t
-// (len(tr.times) if none).
-func (tr *Tracker) firstAfter(t sim.Time) int {
-	lo, hi := 0, len(tr.times)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if tr.times[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
+// run returns the points from i up to the end of i's chunk or to point
+// n-1, whichever comes first; i < n ≤ Len().
+func (tr *Tracker) run(i, n int) []point {
+	k, off := locate(i)
+	c := tr.chunks[k]
+	return c[off:min(cap(c), off+n-i)]
+}
+
+// area returns the area under the step function over [lo, hi), where i is
+// the first transition after lo and n is Len(), together with the index of
+// the first transition at or after hi.
+func (tr *Tracker) area(i, n int, lo, hi sim.Time) (float64, int) {
+	var area float64
+	cur := tr.valueBefore(i)
+	prev := lo
+scan:
+	for i < n {
+		for _, p := range tr.run(i, n) {
+			if p.t >= hi {
+				break scan
+			}
+			area += cur * float64(p.t-prev)
+			cur = p.v
+			prev = p.t
+			i++
 		}
 	}
-	return lo
+	area += cur * float64(hi-prev)
+	return area, i
 }
 
 // Mean returns the time-weighted mean value over [t0, t1). Cost is
@@ -113,23 +213,7 @@ func (tr *Tracker) Mean(t0, t1 sim.Time) float64 {
 	if t1 <= t0 {
 		return 0
 	}
-	var area float64
-	i := tr.firstAfter(t0)
-	cur := 0.0
-	if i > 0 {
-		cur = tr.values[i-1]
-	}
-	prev := t0
-	for ; i < len(tr.times); i++ {
-		t := tr.times[i]
-		if t >= t1 {
-			break
-		}
-		area += cur * float64(t-prev)
-		cur = tr.values[i]
-		prev = t
-	}
-	area += cur * float64(t1-prev)
+	area, _ := tr.area(tr.firstAfter(t0), tr.Len(), t0, t1)
 	return area / float64(t1-t0)
 }
 
@@ -143,7 +227,7 @@ func (tr *Tracker) Samples(t0, t1 sim.Time, n int) []float64 {
 	}
 	out := make([]float64, n)
 	step := (t1 - t0) / sim.Time(n)
-	idx := tr.firstAfter(t0)
+	idx, last := tr.firstAfter(t0), tr.Len()
 	for i := 0; i < n; i++ {
 		lo := t0 + sim.Time(i)*step
 		hi := t0 + sim.Time(i+1)*step
@@ -152,43 +236,12 @@ func (tr *Tracker) Samples(t0, t1 sim.Time, n int) []float64 {
 		}
 		// Transitions stamped exactly at the bucket edge belong to the value
 		// carried into the bucket, matching Mean's half-open semantics.
-		for idx < len(tr.times) && tr.times[idx] <= lo {
+		for idx < last && tr.at(idx).t <= lo {
 			idx++
 		}
 		var area float64
-		cur := 0.0
-		if idx > 0 {
-			cur = tr.values[idx-1]
-		}
-		prev := lo
-		for ; idx < len(tr.times); idx++ {
-			t := tr.times[idx]
-			if t >= hi {
-				break
-			}
-			area += cur * float64(t-prev)
-			cur = tr.values[idx]
-			prev = t
-		}
-		area += cur * float64(hi-prev)
+		area, idx = tr.area(idx, last, lo, hi)
 		out[i] = area / float64(hi-lo)
 	}
 	return out
 }
-
-// Max returns the maximum recorded value in [t0, t1).
-func (tr *Tracker) Max(t0, t1 sim.Time) float64 {
-	best := tr.At(t0)
-	for i, t := range tr.times {
-		if t <= t0 || t >= t1 {
-			continue
-		}
-		if tr.values[i] > best {
-			best = tr.values[i]
-		}
-	}
-	return best
-}
-
-// Len reports the number of recorded transitions.
-func (tr *Tracker) Len() int { return len(tr.times) }
