@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"regexp"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -18,10 +20,12 @@ import (
 // FailureResult is the fault-tolerance extension experiment, run as a
 // matrix: one worker fail-stops during the map stage or during the reduce
 // stage, over replicated or unreplicated input, with speculation off or on,
-// under both executors. Recoverable combinations complete at a measurable
-// overhead (Spark's FetchFailure → parent-stage resubmission); the
-// unreplicated-input map-failure combinations abort with a descriptive
-// error — a single-replica DFS cannot survive losing an input block's only
+// under both executors. Replicated-input combinations complete at a
+// measurable overhead (Spark's FetchFailure → parent-stage resubmission).
+// Every unreplicated-input combination aborts with a descriptive error, in
+// either phase: a reduce-phase crash loses map outputs too, so the driver
+// re-runs map task 4, and that task's only input replica was on the failed
+// machine. A single-replica DFS cannot survive losing an input block's only
 // home. The paper's frameworks all carry this machinery (§2.1's
 // bulk-synchronous model); the experiment quantifies it.
 type FailureResult struct {
@@ -156,6 +160,48 @@ func Failure(ctx context.Context, setup Setup) (*FailureResult, error) {
 		return nil, err
 	}
 	return &FailureResult{Rows: rows}, nil
+}
+
+// The failure verdict's terms. The matrix has failureCells cells: 2 systems
+// × 2 phases × 2 replication factors × 2 speculation settings. A replicated
+// cell may run at most failureMaxOverhead (200%) longer than its clean run.
+// failureLostInput matches the abort reason of a cell whose failed machine
+// held an input block's only replica.
+const (
+	failureCells       = 16
+	failureMaxOverhead = 2
+)
+
+var failureLostInput = regexp.MustCompile(`every replica of block \d+ of ".*" is on a failed machine`)
+
+// Verify fails unless every cell has its expected outcome: a replication-1
+// cell aborts because an input block's only replica was on the failed
+// machine, and a replicated cell completes, slower than its clean run but by
+// no more than failureMaxOverhead. It names each cell that does not.
+func (r *FailureResult) Verify() error {
+	var bad []string
+	if len(r.Rows) != failureCells {
+		bad = append(bad, fmt.Sprintf("%d cells, want %d", len(r.Rows), failureCells))
+	}
+	for _, row := range r.Rows {
+		cell := fmt.Sprintf("%s %s repl=%d spec=%v", row.System, row.Phase, row.Replication, row.Speculation)
+		switch {
+		case row.Replication == 1:
+			if !failureLostInput.MatchString(row.Outcome) {
+				bad = append(bad, fmt.Sprintf("%s: want an abort on lost input, got %q", cell, row.Outcome))
+			}
+		case !row.Completed():
+			bad = append(bad, fmt.Sprintf("%s: want completed, got %q", cell, row.Outcome))
+		case row.WithFailure <= row.Clean:
+			bad = append(bad, fmt.Sprintf("%s: failure run (%.1f s) not slower than clean (%.1f s)", cell, float64(row.WithFailure), float64(row.Clean)))
+		case row.Overhead() > failureMaxOverhead:
+			bad = append(bad, fmt.Sprintf("%s: overhead %.0f%% above %.0f%%", cell, row.Overhead()*100, failureMaxOverhead*100.0))
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("failure: verdict failed: %s", strings.Join(bad, "; "))
+	}
+	return nil
 }
 
 // Fprint renders the matrix.

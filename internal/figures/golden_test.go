@@ -84,14 +84,14 @@ func TestGoldenDeterminism(t *testing.T) {
 // TestGoldenSerialVsParallel locks the sweep pool's determinism contract:
 // the same experiments at --parallel 1 and --parallel 8 must render
 // byte-identical output. The comparison covers the golden corpus plus a
-// two-seed chaos matrix (a four-cell grid), so the parallel leg genuinely
+// three-seed chaos matrix (a six-cell grid), so the parallel leg genuinely
 // fans cells across workers. Every chaos row must also come out correct and
 // reproducible under both settings.
 func TestGoldenSerialVsParallel(t *testing.T) {
 	render := func(setup Setup) []byte {
 		var buf bytes.Buffer
 		buf.Write(goldenOutput(t, setup))
-		cr, err := Chaos(bg, setup, 2)
+		cr, err := Chaos(bg, setup, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -133,6 +133,61 @@ func TestMemoryVerify(t *testing.T) {
 	}
 }
 
+// TestFailureVerify: the failure verdict passes only when all 16 cells are
+// present, every replication-1 cell aborts on lost input, and every
+// replicated cell completes slower than clean by at most 200%; it names each
+// cell that does not.
+func TestFailureVerify(t *testing.T) {
+	const lostInput = `aborted: jobsched: job "sort-25v": resolving task 4 of stage "sort-25v/map": every replica of block 4 of "/sort/sort-25v" is on a failed machine (replication too low for this failure)`
+	ok := func() *FailureResult {
+		r := &FailureResult{}
+		for _, system := range []string{"spark", "monospark"} {
+			for _, replication := range []int{1, 2} {
+				for _, speculation := range []bool{false, true} {
+					for _, phase := range []string{"map", "reduce"} {
+						row := FailureRow{System: system, Phase: phase, Replication: replication,
+							Speculation: speculation, Clean: 64, WithFailure: 33.5, Outcome: lostInput}
+						if replication == 2 {
+							// The top of the allowed range: exactly 200% overhead.
+							row.WithFailure, row.Outcome = 192, "completed"
+						}
+						r.Rows = append(r.Rows, row)
+					}
+				}
+			}
+		}
+		return r
+	}
+	if err := ok().Verify(); err != nil {
+		t.Fatalf("passing matrix failed: %v", err)
+	}
+	// Rows 0-3 are spark's replication-1 cells, rows 4-7 its replicated ones.
+	for name, c := range map[string]struct {
+		edit func(*FailureResult)
+		want string
+	}{
+		"missing cell":      {func(r *FailureResult) { r.Rows = r.Rows[1:] }, "15 cells, want 16"},
+		"repl-1 completes":  {func(r *FailureResult) { r.Rows[1].Outcome = "completed" }, `spark reduce repl=1 spec=false: want an abort on lost input, got "completed"`},
+		"repl-1 other":      {func(r *FailureResult) { r.Rows[2].Outcome = "aborted: context deadline exceeded" }, "spark map repl=1 spec=true: want an abort on lost input"},
+		"repl-2 aborts":     {func(r *FailureResult) { r.Rows[5].Outcome = lostInput }, "spark reduce repl=2 spec=false: want completed"},
+		"not slower":        {func(r *FailureResult) { r.Rows[6].WithFailure = 64 }, "spark map repl=2 spec=true: failure run (64.0 s) not slower than clean (64.0 s)"},
+		"overhead too high": {func(r *FailureResult) { r.Rows[7].WithFailure = 193 }, "spark reduce repl=2 spec=true: overhead 202% above 200%"},
+	} {
+		r := ok()
+		c.edit(r)
+		err := r.Verify()
+		if err == nil {
+			t.Fatalf("%s: verdict passed", name)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: verdict error %q should contain %q", name, err, c.want)
+		}
+		if strings.Count(err.Error(), "repl=") > 1 {
+			t.Fatalf("%s: verdict error %q names a passing cell", name, err)
+		}
+	}
+}
+
 // TestMultijobVerify: the multijob verdict fails on an unfinished batch job,
 // a pool share more than 0.05 from its weight share, or a mono attribution
 // error above 0.05% at p75, and passes the shares the experiment measures.

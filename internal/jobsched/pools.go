@@ -338,10 +338,6 @@ func (d *Driver) Jobs() []*JobHandle {
 // LiveTasks reports the job's running task attempts right now.
 func (h *JobHandle) LiveTasks() int { return h.running }
 
-// Admitted reports whether the job's pool has let it past the admission
-// queue (true for the whole of its run and afterwards).
-func (h *JobHandle) Admitted() bool { return h.admitted }
-
 // PoolNames lists the driver's pools in declaration order (the default pool
 // last unless declared).
 func (d *Driver) PoolNames() []string {

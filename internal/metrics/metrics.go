@@ -298,14 +298,3 @@ type EventMark struct {
 	Label   string
 	Machine int // -1 for cluster-wide marks
 }
-
-// MarksInWindow filters marks to [t0, t1), preserving order.
-func MarksInWindow(marks []EventMark, t0, t1 sim.Time) []EventMark {
-	var out []EventMark
-	for _, m := range marks {
-		if m.At >= t0 && m.At < t1 {
-			out = append(out, m)
-		}
-	}
-	return out
-}

@@ -45,9 +45,6 @@ type NIC struct {
 // ID returns the NIC's machine index within its fabric.
 func (n *NIC) ID() int { return n.id }
 
-// EgressBW reports the outbound link capacity in bytes/second.
-func (n *NIC) EgressBW() float64 { return n.egressBW }
-
 // IngressBW reports the inbound link capacity in bytes/second.
 func (n *NIC) IngressBW() float64 { return n.ingressBW }
 
