@@ -210,7 +210,13 @@ func BenchmarkFig14(b *testing.B) {
 			if row.Bottleneck.String() == "cpu" {
 				n++
 			}
-			if row.NoNetFrac < 0.9 {
+			// Removing a resource never lengthens a stage's model time.
+			for _, frac := range []float64{row.NoDiskFrac, row.NoNetFrac, row.NoCPUFrac} {
+				if frac > 1 {
+					b.Fatalf("q%s: removing a resource predicted %v > 1: %+v", row.Query, frac, row)
+				}
+			}
+			if row.NoNetFrac < 0.99 {
 				b.Fatalf("q%s: network removal predicted %v; paper finds network irrelevant", row.Query, row.NoNetFrac)
 			}
 		}

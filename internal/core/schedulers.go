@@ -65,15 +65,12 @@ func (op *computeOp) done() {
 	metric := task.MonotaskMetric{
 		Resource: task.CPUResource,
 		Kind:     task.KindCompute,
-		Machine:  cs.w.machine.ID,
+		Machine:  int32(cs.w.machine.ID),
 		Queued:   m.queued,
 		Start:    m.start,
 		End:      cs.w.eng.Now(),
-		DeserSec: m.deser,
-		OpSec:    m.op,
-		SerSec:   m.ser,
-		MemBytes: memBytes,
 	}
+	m.owner.metrics.MemBytes = memBytes
 	cs.pump()
 	cs.w.finish(m, metric)
 }
@@ -160,7 +157,7 @@ func (op *diskOp) done() {
 		metric := task.MonotaskMetric{
 			Resource: task.DiskResource,
 			Kind:     bm.kind,
-			Machine:  ds.w.machine.ID,
+			Machine:  int32(ds.w.machine.ID),
 			Queued:   bm.queued,
 			Start:    bm.start,
 			End:      end,
@@ -412,7 +409,7 @@ func (op *fetchOp) done() {
 	metric := task.MonotaskMetric{
 		Resource: task.NetworkResource,
 		Kind:     task.KindNetFetch,
-		Machine:  ns.w.machine.ID,
+		Machine:  int32(ns.w.machine.ID),
 		Queued:   m.queued,
 		Start:    m.start,
 		End:      ns.w.eng.Now(),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/resource"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/trace"
 )
 
 // testSpec builds a machine with clean arithmetic: no seek, no contention
@@ -287,14 +288,18 @@ func TestNetworkLimitVisibleInQueue(t *testing.T) {
 	}
 }
 
+// TestComputeSplitRecorded: a compute monotask's record keeps no split of
+// its own; readers take it from the stage spec, so the run's compute record
+// must read back as the stage's split through trace.Records.
 func TestComputeSplitRecorded(t *testing.T) {
 	c, g := newTestGroup(t, 1, 1, 1)
 	stage := &task.StageSpec{ID: 0, Name: "m", NumTasks: 1, DeserCPU: 0.5, OpCPU: 2, SerCPU: 0.25}
 	tk := &task.Task{Stage: stage, Index: 0, Machine: 0}
 	m := run(c, g, []*task.Task{tk})[0]
-	cm := m.Monotasks[0]
-	if cm.DeserSec != 0.5 || cm.OpSec != 2 || cm.SerSec != 0.25 {
-		t.Fatalf("compute split %v/%v/%v, want 0.5/2/0.25", cm.DeserSec, cm.OpSec, cm.SerSec)
+	jm := &task.JobMetrics{Stages: []*task.StageMetrics{{Spec: stage, Tasks: []*task.TaskMetrics{m}}}}
+	cm := trace.Records(jm)[0]
+	if cm.Kind != "compute" || cm.DeserS != 0.5 || cm.OpS != 2 || cm.SerS != 0.25 {
+		t.Fatalf("%s split %v/%v/%v, want compute 0.5/2/0.25", cm.Kind, cm.DeserS, cm.OpS, cm.SerS)
 	}
 	if !approx(m.End, 2.75) {
 		t.Fatalf("end %v, want 2.75", m.End)

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/units"
@@ -28,8 +29,8 @@ func BenchmarkSortEndToEnd(b *testing.B) {
 }
 
 // maxSortAllocs bounds the heap allocations of one end-to-end sort. The
-// sort measures 9,796 allocations (9,799 under the race detector); the bound
-// is that count plus 10%, so a 10% allocation regression fails it.
+// sort measures 9,744 allocations (9,747 under the race detector); the bound
+// is the 9,796 it measured when the bound was set plus 10%.
 const maxSortAllocs = 10_775
 
 // TestSortEndToEndAllocs is the allocation guard on the end-to-end sort.
@@ -38,5 +39,32 @@ const maxSortAllocs = 10_775
 func TestSortEndToEndAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(3, func() { sortEndToEnd(t) }); got > maxSortAllocs {
 		t.Fatalf("end-to-end sort allocates %.0f times per run, want ≤ %d", got, maxSortAllocs)
+	}
+}
+
+// maxSortBytes bounds the heap bytes of one end-to-end sort. The sort
+// measures 1,535,090 bytes (1,536,181 under the race detector); the bound is
+// that plus 1%. It is tighter than the allocation count's 10% because one
+// 8-byte field added to MonotaskMetric grows the sort by only 1.3%
+// (1,555,520 bytes), and one added to TaskMetrics by 1.1% (1,551,658).
+const maxSortBytes = 1_550_000
+
+// TestSortEndToEndBytes is TestSortEndToEndAllocs for bytes: the guard on
+// the size of the per-monotask and per-task metric records, which the
+// allocation count cannot see. Like testing.AllocsPerRun, it warms up once
+// and measures at GOMAXPROCS 1.
+func TestSortEndToEndBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sortEndToEnd(t)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		sortEndToEnd(t)
+	}
+	runtime.ReadMemStats(&ms)
+	if got := (ms.TotalAlloc - before) / runs; got > maxSortBytes {
+		t.Fatalf("end-to-end sort allocates %d bytes per run, want ≤ %d", got, maxSortBytes)
 	}
 }

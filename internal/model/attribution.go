@@ -105,10 +105,10 @@ func windowUsage(jm *task.JobMetrics, t0, t1 sim.Time) metrics.MeasuredUsage {
 				switch m.Resource {
 				case task.CPUResource:
 					u.CPUSeconds += f * float64(m.End-m.Start)
-					// The compute monotask's memory traffic pro-rates over
-					// the same span: the memory stream runs while the core
-					// is held.
-					mem += f * float64(m.MemBytes)
+					// The task's memory traffic pro-rates over its compute
+					// monotask's span: the memory stream runs while the
+					// core is held.
+					mem += f * float64(tm.MemBytes)
 				case task.DiskResource:
 					switch m.Kind {
 					case task.KindShuffleWrite, task.KindOutputWrite, task.KindMemSpill:

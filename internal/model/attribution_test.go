@@ -153,16 +153,19 @@ func TestAttributionErrorPhantomUsage(t *testing.T) {
 func TestAttributeWindowTiling(t *testing.T) {
 	// Byte volumes chosen so every window boundary splits monotasks at
 	// non-integer byte fractions (the truncation-sensitive case).
-	memCompute := mono(task.CPUResource, task.KindCompute, 0.25, 9.75, 0)
-	memCompute.MemBytes = 1511 // memory traffic pro-rated over the compute span
 	j := jobWith("tile",
 		mono(task.DiskResource, task.KindInputRead, 0, 7, 1003),
 		mono(task.DiskResource, task.KindShuffleWrite, 1, 8, 977),
 		mono(task.DiskResource, task.KindInputRead, 2.5, 9.5, 331),
 		mono(task.NetworkResource, task.KindNetFetch, 0.5, 9, 1999),
 		mono(task.CPUResource, task.KindCompute, 0, 10, 0),
-		memCompute,
 	)
+	// A task's memory traffic pro-rates over its one compute monotask's
+	// span, so the memory-moving compute runs in a task of its own.
+	j.Stages[0].Tasks = append(j.Stages[0].Tasks, &task.TaskMetrics{
+		Monotasks: []task.MonotaskMetric{mono(task.CPUResource, task.KindCompute, 0.25, 9.75, 0)},
+		MemBytes:  1511,
+	})
 	jobs := []*task.JobMetrics{j}
 	whole := Attribute(jobs, 0, 10, Resources{})[0].Usage
 	if whole.MemBytes == 0 {

@@ -61,12 +61,10 @@ func TestBottleneckMemorylessMatchesTrio(t *testing.T) {
 // IdealMem at zero while still reporting the traffic split (MemShare is a
 // share of recorded bytes, not of bandwidth).
 func TestAttributeMemorylessCluster(t *testing.T) {
-	withMem := mono(task.CPUResource, task.KindCompute, 0, 4, 0)
-	withMem.MemBytes = 3000
-	a := jobWith("a", withMem)
-	other := mono(task.CPUResource, task.KindCompute, 0, 4, 0)
-	other.MemBytes = 1000
-	b := jobWith("b", other)
+	a := jobWith("a", mono(task.CPUResource, task.KindCompute, 0, 4, 0))
+	a.Stages[0].Tasks[0].MemBytes = 3000
+	b := jobWith("b", mono(task.CPUResource, task.KindCompute, 0, 4, 0))
+	b.Stages[0].Tasks[0].MemBytes = 1000
 
 	res := Resources{TotalCores: 4, DiskBW: 1e9, NetBW: 1e9} // MemBW unset
 	att := Attribute([]*task.JobMetrics{a, b}, 0, 4, res)
@@ -106,8 +104,8 @@ func TestAttributionErrorMemoryColumn(t *testing.T) {
 // hand-assembling the struct.
 func windowUsageOf(t *testing.T, memBytes int64) metrics.MeasuredUsage {
 	t.Helper()
-	m := mono(task.CPUResource, task.KindCompute, 0, 1, 0)
-	m.MemBytes = memBytes
-	j := jobWith("u", m, mono(task.DiskResource, task.KindInputRead, 0, 1, 100))
+	j := jobWith("u", mono(task.CPUResource, task.KindCompute, 0, 1, 0),
+		mono(task.DiskResource, task.KindInputRead, 0, 1, 100))
+	j.Stages[0].Tasks[0].MemBytes = memBytes
 	return Attribute([]*task.JobMetrics{j}, 0, 1, Resources{})[0].Usage
 }

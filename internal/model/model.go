@@ -145,7 +145,7 @@ func FromMetrics(jm *task.JobMetrics, res Resources) *JobProfile {
 				}
 				for _, m := range t.Monotasks {
 					if m.Kind == task.KindCompute {
-						sp.InputDeserSeconds += m.DeserSec
+						sp.InputDeserSeconds += sm.Spec.DeserCPU
 					}
 				}
 			}

@@ -163,15 +163,14 @@ func TestPredictCombinedHardwareSoftware(t *testing.T) {
 }
 
 func TestFromMetrics(t *testing.T) {
-	spec := &task.StageSpec{ID: 0, Name: "map", NumTasks: 1}
+	spec := &task.StageSpec{ID: 0, Name: "map", NumTasks: 1, DeserCPU: 1, OpCPU: 2.5, SerCPU: 0.5}
 	jm := &task.JobMetrics{
 		Name: "j",
 		Stages: []*task.StageMetrics{{
 			Spec: spec, Start: 0, End: 10,
 			Tasks: []*task.TaskMetrics{{
 				Monotasks: []task.MonotaskMetric{
-					{Resource: task.CPUResource, Kind: task.KindCompute, Start: 0, End: 4,
-						DeserSec: 1, OpSec: 2.5, SerSec: 0.5},
+					{Resource: task.CPUResource, Kind: task.KindCompute, Start: 0, End: 4},
 					{Resource: task.DiskResource, Kind: task.KindInputRead, Start: 0, End: 2, Bytes: 200e6},
 					{Resource: task.DiskResource, Kind: task.KindShuffleWrite, Start: 4, End: 5, Bytes: 100e6},
 					{Resource: task.NetworkResource, Kind: task.KindNetFetch, Start: 0, End: 1, Bytes: 50e6},
@@ -196,14 +195,14 @@ func TestFromMetrics(t *testing.T) {
 }
 
 func TestFromMetricsNoInputNoDeserRemoval(t *testing.T) {
-	spec := &task.StageSpec{ID: 0, Name: "reduce", NumTasks: 1, ParentIDs: []int{0}}
+	spec := &task.StageSpec{ID: 0, Name: "reduce", NumTasks: 1, ParentIDs: []int{0}, DeserCPU: 1, OpCPU: 2}
 	jm := &task.JobMetrics{
 		Name: "j",
 		Stages: []*task.StageMetrics{{
 			Spec: spec, Start: 0, End: 5,
 			Tasks: []*task.TaskMetrics{{
 				Monotasks: []task.MonotaskMetric{
-					{Resource: task.CPUResource, Kind: task.KindCompute, Start: 0, End: 3, DeserSec: 1, OpSec: 2},
+					{Resource: task.CPUResource, Kind: task.KindCompute, Start: 0, End: 3},
 				},
 			}},
 		}},

@@ -32,14 +32,12 @@ type NIC struct {
 	UtilOut resource.Tracker
 	// UtilIn tracks the ingress direction's utilization (0..1).
 	UtilIn resource.Tracker
-	// BytesOutCum is the cumulative egress byte timeline (charged at
-	// transfer start) — the OS-counter view of this interface.
-	BytesOutCum resource.Tracker
-	// BytesInCum is BytesOutCum's ingress counterpart.
+	// BytesInCum is the cumulative ingress byte timeline (charged at
+	// transfer start) — the OS-counter view of this interface, from which
+	// metrics.Measure counts a window's network bytes.
 	BytesInCum resource.Tracker
 
-	bytesOut int64
-	bytesIn  int64
+	bytesIn int64
 }
 
 // ID returns the NIC's machine index within its fabric.
@@ -216,12 +214,9 @@ func (f *Fabric) Transfer(src, dst int, bytes int64, done func()) *Flow {
 	f.advance()
 	fl.active = true
 	f.order = append(f.order, fl)
-	now := f.eng.Now()
-	srcNIC, dstNIC := f.nics[fl.src], f.nics[fl.dst]
-	srcNIC.bytesOut += bytes
-	srcNIC.BytesOutCum.Set(now, float64(srcNIC.bytesOut))
-	dstNIC.bytesIn += bytes
-	dstNIC.BytesInCum.Set(now, float64(dstNIC.bytesIn))
+	nic := f.nics[fl.dst]
+	nic.bytesIn += bytes
+	nic.BytesInCum.Set(f.eng.Now(), float64(nic.bytesIn))
 	f.beginRerate()
 	f.touchFlow(fl)
 	f.rerateTouched(fl)

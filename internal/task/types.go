@@ -17,8 +17,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Resource identifies one of the four resources a monotask can use.
-type Resource int
+// Resource identifies one of the four resources a monotask can use. It is
+// an int8 so that a MonotaskMetric stays at 40 bytes.
+type Resource int8
 
 const (
 	// CPUResource is a processor core.
@@ -52,7 +53,9 @@ func (r Resource) String() string {
 // Kind describes what a monotask is for. The performance model uses kinds to
 // answer what-if questions — e.g. "store input in memory" removes
 // InputRead disk time and the deserialization share of compute time (§6.3).
-type Kind int
+// Like Resource it is an int8, to keep MonotaskMetric small; the -1 that
+// StageMetrics.MonotaskSeconds and MonotaskBytes take for "all kinds" fits.
+type Kind int8
 
 const (
 	// KindCompute is a CPU monotask.
@@ -259,19 +262,19 @@ func (t *Task) InputBytes() int64 {
 // MonotaskMetric records one monotask's execution. The pipelined executor
 // cannot produce these (that inability is the paper's thesis); it reports
 // only task spans.
+//
+// A run keeps one record per monotask, so the record holds only what
+// differs between monotasks and packs into 40 bytes. A compute monotask's
+// cost split is its stage's (StageSpec.DeserCPU, OpCPU, SerCPU), and its
+// memory traffic is TaskMetrics.MemBytes.
 type MonotaskMetric struct {
 	Resource Resource
 	Kind     Kind
-	Machine  int
+	Machine  int32
 	Queued   sim.Time // when the monotask became ready
 	Start    sim.Time // when its resource began serving it
 	End      sim.Time
 	Bytes    int64
-	// Compute split (KindCompute only), in core-seconds.
-	DeserSec, OpSec, SerSec float64
-	// MemBytes records the bytes the monotask moved through the machine's
-	// memory system (KindCompute only; zero on memoryless machines).
-	MemBytes int64
 }
 
 // Duration is the service time (excludes queueing).
@@ -292,6 +295,9 @@ type TaskMetrics struct {
 	Start     sim.Time
 	End       sim.Time
 	Monotasks []MonotaskMetric
+	// MemBytes records the bytes the task's compute monotask moved through
+	// the machine's memory system (zero on memoryless machines).
+	MemBytes int64
 
 	Failed     bool
 	FailReason string
@@ -366,18 +372,16 @@ func (s *StageMetrics) MonotaskBytes(r Resource, kind Kind) int64 {
 }
 
 // MonotaskMemBytes sums the memory-system traffic recorded by the stage's
-// monotasks. Kept separate from MonotaskBytes: a compute monotask's Bytes
-// field stays zero (it moves no I/O bytes), while its MemBytes records the
-// memory traffic the fourth-resource model charged it.
+// compute monotasks. Kept separate from MonotaskBytes: a compute monotask's
+// Bytes field stays zero (it moves no I/O bytes), while its task's MemBytes
+// records the memory traffic the fourth-resource model charged it.
 func (s *StageMetrics) MonotaskMemBytes() int64 {
 	var sum int64
 	for _, t := range s.Tasks {
 		if t == nil {
 			continue
 		}
-		for _, m := range t.Monotasks {
-			sum += m.MemBytes
-		}
+		sum += t.MemBytes
 	}
 	return sum
 }

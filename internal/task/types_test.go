@@ -2,6 +2,7 @@ package task
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/dfs"
 )
@@ -137,5 +138,19 @@ func TestStringers(t *testing.T) {
 			t.Fatalf("duplicate Kind string %q", s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestMetricRecordSizes pins the metric records' sizes: a run keeps one
+// MonotaskMetric per monotask and one TaskMetrics per task attempt, so a
+// field added to either grows every run's heap. TaskMetrics must stay in
+// the 96-byte size class it took at 88 bytes, so the pipelined executor's
+// records, which hold no monotasks, cost what they did.
+func TestMetricRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(MonotaskMetric{}); got != 40 {
+		t.Errorf("MonotaskMetric is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(TaskMetrics{}); got > 96 {
+		t.Errorf("TaskMetrics is %d bytes, want ≤ 96", got)
 	}
 }

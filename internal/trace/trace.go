@@ -43,22 +43,23 @@ func Records(jm *task.JobMetrics) []Record {
 				continue
 			}
 			for _, m := range tm.Monotasks {
-				out = append(out, Record{
+				r := Record{
 					Job:      jm.Name,
 					Stage:    name,
 					StageID:  tm.StageID,
 					TaskIdx:  tm.Index,
-					Machine:  m.Machine,
+					Machine:  int(m.Machine),
 					Resource: m.Resource.String(),
 					Kind:     m.Kind.String(),
 					QueuedS:  float64(m.Queued),
 					StartS:   float64(m.Start),
 					EndS:     float64(m.End),
 					Bytes:    m.Bytes,
-					DeserS:   m.DeserSec,
-					OpS:      m.OpSec,
-					SerS:     m.SerSec,
-				})
+				}
+				if m.Kind == task.KindCompute {
+					r.DeserS, r.OpS, r.SerS = st.Spec.DeserCPU, st.Spec.OpCPU, st.Spec.SerCPU
+				}
+				out = append(out, r)
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func sampleMetrics() *task.JobMetrics {
-	spec := &task.StageSpec{ID: 0, Name: "map", NumTasks: 2}
+	spec := &task.StageSpec{ID: 0, Name: "map", NumTasks: 2, DeserCPU: 1, OpCPU: 1.5, SerCPU: 0.5}
 	return &task.JobMetrics{
 		Name: "job1", Start: 0, End: 10,
 		Stages: []*task.StageMetrics{{
@@ -22,7 +22,7 @@ func sampleMetrics() *task.JobMetrics {
 						{Resource: task.DiskResource, Kind: task.KindInputRead, Machine: 0,
 							Queued: 0, Start: 0.5, End: 2, Bytes: 1000},
 						{Resource: task.CPUResource, Kind: task.KindCompute, Machine: 0,
-							Queued: 2, Start: 2, End: 5, DeserSec: 1, OpSec: 1.5, SerSec: 0.5},
+							Queued: 2, Start: 2, End: 5},
 					}},
 				nil, // a task that never ran must be skipped, not crash
 			},
