@@ -19,29 +19,25 @@ const (
 	phaseServe = 3
 )
 
-// monotask is one single-resource unit of work.
+// monotask is one single-resource unit of work. Nodes are the most numerous
+// structs a run allocates, so a compute or output node points at its
+// template blueprint instead of copying the stage's demand, and the small
+// fields are narrowed: the struct is 96 bytes (TestMonotaskNodeSize).
 type monotask struct {
-	owner    *multitask
-	resource task.Resource
-	kind     task.Kind
-	phase    int
-
-	// Resource-specific demand.
-	bytes   int64      // disk and network monotasks
-	diskIdx int        // disk monotasks: which local disk
-	fetch   task.Fetch // network monotasks
-	deser   float64    // compute monotasks: core-seconds per part
-	op      float64
-	ser     float64
-	// Memory leg of a compute monotask (machines with the memory model
-	// enabled only): bytes moved through the memory system and the task's
-	// per-stream bandwidth cap (<= 0 uncapped). The compute monotask holds
-	// its core until both the CPU work and the memory movement finish.
-	memBytes int64
-	memBW    float64
+	owner *multitask
+	// spec is the blueprint of a compute or output monotask: a compute
+	// monotask's core-seconds per part and memory leg (machines with the
+	// memory model enabled only: bytes moved through the memory system and
+	// the per-stream bandwidth cap; the compute monotask holds its core
+	// until both the CPU work and the memory movement finish). Nil for the
+	// input, spill and serve monotasks built per task.
+	spec *nodeSpec
+	// fetch is a network monotask's source: the task's RemoteRead or one
+	// of its Fetches, which live as long as the multitask.
+	fetch *task.Fetch
+	bytes int64 // disk and network monotasks
 
 	// DAG wiring.
-	waiting    int // unfinished dependencies
 	dependents []*monotask
 
 	// onDone, when set, runs after the monotask's resource work completes
@@ -52,10 +48,16 @@ type monotask struct {
 	// Timing, filled in as the monotask advances.
 	queued sim.Time
 	start  sim.Time
+
+	resource task.Resource
+	kind     task.Kind
+	phase    int8
+	diskIdx  int32 // disk monotasks: which local disk
+	waiting  int32 // unfinished dependencies
 }
 
 // cpuSeconds is a compute monotask's total demand.
-func (m *monotask) cpuSeconds() float64 { return m.deser + m.op + m.ser }
+func (m *monotask) cpuSeconds() float64 { return m.spec.deser + m.spec.op + m.spec.ser }
 
 // dependsOn wires m to run after dep.
 func (m *monotask) dependsOn(dep *monotask) {
@@ -122,7 +124,7 @@ func (w *Worker) decompose(mt *multitask) []*monotask {
 		rd.kind = task.KindInputRead
 		rd.phase = phaseInput
 		rd.bytes = t.DiskReadBytes
-		rd.diskIdx = t.DiskReadDisk
+		rd.diskIdx = int32(t.DiskReadDisk)
 		compute.dependsOn(rd)
 		ready = append(ready, rd)
 		count++
@@ -135,12 +137,13 @@ func (w *Worker) decompose(mt *multitask) []*monotask {
 		nf.kind = task.KindNetFetch
 		nf.phase = phaseInput
 		nf.bytes = t.RemoteRead.Bytes
-		nf.fetch = *t.RemoteRead
+		nf.fetch = t.RemoteRead
 		compute.dependsOn(nf)
 		ready = append(ready, nf)
 		count++
 	}
-	for _, f := range t.Fetches {
+	for i := range t.Fetches {
+		f := &t.Fetches[i]
 		switch {
 		case f.From == t.Machine && f.FromMem:
 			// Local in-memory shuffle data: already where the compute
@@ -153,7 +156,7 @@ func (w *Worker) decompose(mt *multitask) []*monotask {
 			rd.kind = task.KindShuffleServeRead
 			rd.phase = phaseInput
 			rd.bytes = f.Bytes
-			rd.diskIdx = w.nextServeDisk()
+			rd.diskIdx = int32(w.nextServeDisk())
 			compute.dependsOn(rd)
 			ready = append(ready, rd)
 			count++
@@ -184,7 +187,7 @@ func (w *Worker) decompose(mt *multitask) []*monotask {
 			sp.kind = task.KindMemSpill
 			sp.phase = phaseInput
 			sp.bytes = spill
-			sp.diskIdx = w.nextWriteDisk()
+			sp.diskIdx = int32(w.nextWriteDisk())
 			compute.dependsOn(sp)
 			ready = append(ready, sp)
 			count++
@@ -195,7 +198,7 @@ func (w *Worker) decompose(mt *multitask) []*monotask {
 	// (round-robin or load-aware cursors), so it is stamped here.
 	for i := range tp.outputs {
 		wr := w.stampNode(mt, &tp.outputs[i])
-		wr.diskIdx = w.nextWriteDisk()
+		wr.diskIdx = int32(w.nextWriteDisk())
 		wr.dependsOn(compute)
 		count++
 	}

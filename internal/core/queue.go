@@ -16,7 +16,7 @@ const numPhases = 4
 type rrQueue struct {
 	byPhase [numPhases][]*monotask
 	head    [numPhases]int
-	ring    []int // phases in first-seen order
+	ring    []int8 // phases in first-seen order
 	seen    [numPhases]bool
 	cursor  int
 	size    int

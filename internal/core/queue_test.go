@@ -2,7 +2,7 @@ package core
 
 import "testing"
 
-func mk(phase int) *monotask { return &monotask{phase: phase} }
+func mk(phase int) *monotask { return &monotask{phase: int8(phase)} }
 
 func TestRRQueueFIFOWithinPhase(t *testing.T) {
 	q := newRRQueue()

@@ -103,10 +103,10 @@ func (cs *computeScheduler) pump() {
 		op := cs.takeOp()
 		op.m = m
 		op.pending = 1
-		if mem := cs.w.machine.Memory; mem != nil && m.memBytes > 0 {
+		if mem := cs.w.machine.Memory; mem != nil && m.spec.memBytes > 0 {
 			op.pending = 2
-			op.memBytes = m.memBytes
-			mem.Stream(m.memBytes, m.memBW, op.fn)
+			op.memBytes = m.spec.memBytes
+			mem.Stream(m.spec.memBytes, m.spec.memBW, op.fn)
 		}
 		cs.w.machine.CPU.Run(m.cpuSeconds(), op.fn)
 	}
@@ -386,7 +386,7 @@ func (op *fetchOp) start(release func()) {
 	remote := ns.w.peer(m.fetch.From)
 	kind := task.KindShuffleServeRead
 	diskIdx := remote.nextServeDisk()
-	if m.kind == task.KindNetFetch && m.owner.t.RemoteRead != nil && m.fetch == *m.owner.t.RemoteRead {
+	if m.fetch == m.owner.t.RemoteRead {
 		// Remote HDFS block read: the block's disk is known.
 		kind = task.KindInputRead
 		diskIdx = m.fetch.FromDisk

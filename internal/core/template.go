@@ -11,7 +11,7 @@ import (
 type nodeSpec struct {
 	resource task.Resource
 	kind     task.Kind
-	phase    int
+	phase    int8
 	bytes    int64
 	deser    float64
 	op       float64
@@ -124,18 +124,15 @@ func (w *Worker) newMonotask(mt *multitask) *monotask {
 	return m
 }
 
-// stampNode is newMonotask plus the template blueprint's static fields.
+// stampNode is newMonotask bound to a template blueprint: the node points
+// at spec for its demand and copies the fields every monotask carries.
 func (w *Worker) stampNode(mt *multitask, spec *nodeSpec) *monotask {
 	m := w.newMonotask(mt)
+	m.spec = spec
 	m.resource = spec.resource
 	m.kind = spec.kind
 	m.phase = spec.phase
 	m.bytes = spec.bytes
-	m.deser = spec.deser
-	m.op = spec.op
-	m.ser = spec.ser
-	m.memBytes = spec.memBytes
-	m.memBW = spec.memBW
 	return m
 }
 

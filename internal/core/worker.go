@@ -190,7 +190,7 @@ func (w *Worker) submit(m *monotask) {
 		if len(w.disks) == 0 {
 			panic("core: disk monotask on a diskless machine")
 		}
-		if m.diskIdx < 0 || m.diskIdx >= len(w.disks) {
+		if m.diskIdx < 0 || int(m.diskIdx) >= len(w.disks) {
 			panic(fmt.Sprintf("core: disk index %d out of range", m.diskIdx))
 		}
 		w.disks[m.diskIdx].submit(m)
@@ -218,7 +218,7 @@ func (w *Worker) serveRead(requester *multitask, diskIdx int, bytes int64, kind 
 	m.kind = kind
 	m.phase = phaseServe
 	m.bytes = bytes
-	m.diskIdx = diskIdx
+	m.diskIdx = int32(diskIdx)
 	m.onDone = onRead
 	requester.remaining++
 	w.disks[diskIdx].submit(m)

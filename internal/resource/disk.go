@@ -25,6 +25,8 @@ func (k DiskKind) String() string {
 
 // DiskSpec describes one drive.
 type DiskSpec struct {
+	// Kind selects the drive model: HDD (seek-penalized) or SSD
+	// (concurrency-saturating).
 	Kind DiskKind
 	// SeqBW is the sequential read/write bandwidth in bytes/second with no
 	// contention (HDD) or at saturation (SSD).
@@ -45,7 +47,9 @@ type DiskSpec struct {
 	// streams the elevator scheduler amortizes seeks, so aggregate
 	// throughput levels off rather than degrading without bound.
 	// Defaults 0.5 (mixed) and 0.85 (uniform).
-	MixedFloorFrac  float64
+	MixedFloorFrac float64
+	// StreamFloorFrac is the floor for streams that all go one direction,
+	// as a fraction of SeqBW (see MixedFloorFrac).
 	StreamFloorFrac float64
 	// SaturationOps is the SSD knee: aggregate bandwidth with k outstanding
 	// ops is SeqBW · min(k, SaturationOps)/SaturationOps.
@@ -76,6 +80,7 @@ type Disk struct {
 	spec DiskSpec
 	srv  *server
 	eng  *sim.Engine
+	// Util is 1 while the drive serves any request and 0 while it is idle.
 	Util Tracker
 
 	bytesRead    int64
@@ -83,7 +88,8 @@ type Disk struct {
 	// Cumulative byte timelines (bytes charged at request submission),
 	// queryable at any time — what an external observer with OS counters
 	// could measure about this disk.
-	ReadCum  Tracker
+	ReadCum Tracker
+	// WriteCum is ReadCum for the bytes written.
 	WriteCum Tracker
 }
 

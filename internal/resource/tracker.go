@@ -13,6 +13,7 @@ package resource
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -219,19 +220,32 @@ func (tr *Tracker) Mean(t0, t1 sim.Time) float64 {
 
 // Samples returns the time-weighted mean over n evenly spaced buckets across
 // [t0, t1), suitable for percentile summaries (Fig. 6) or time-series plots
-// (Fig. 2). One sweep over the timeline serves all buckets — O(log T + k + n)
-// rather than n independent Mean scans.
+// (Fig. 2): AppendSamples into a fresh slice of exactly n. It returns nil
+// when n ≤ 0 or the window is empty.
 func (tr *Tracker) Samples(t0, t1 sim.Time, n int) []float64 {
 	if n <= 0 || t1 <= t0 {
 		return nil
 	}
-	out := make([]float64, n)
+	return tr.AppendSamples(make([]float64, 0, n), t0, t1, n)
+}
+
+// AppendSamples appends Samples(t0, t1, n) to dst and returns the extended
+// slice; dst is returned unchanged when n ≤ 0 or the window is empty. A
+// caller that samples every tick reuses one buffer instead of allocating a
+// slice per call. One sweep over the timeline serves all buckets —
+// O(log T + k + n) rather than n independent Mean scans.
+func (tr *Tracker) AppendSamples(dst []float64, t0, t1 sim.Time, n int) []float64 {
+	if n <= 0 || t1 <= t0 {
+		return dst
+	}
+	dst = slices.Grow(dst, n)
 	step := (t1 - t0) / sim.Time(n)
 	idx, last := tr.firstAfter(t0), tr.Len()
 	for i := 0; i < n; i++ {
 		lo := t0 + sim.Time(i)*step
 		hi := t0 + sim.Time(i+1)*step
 		if hi <= lo {
+			dst = append(dst, 0)
 			continue
 		}
 		// Transitions stamped exactly at the bucket edge belong to the value
@@ -241,7 +255,7 @@ func (tr *Tracker) Samples(t0, t1 sim.Time, n int) []float64 {
 		}
 		var area float64
 		area, idx = tr.area(idx, last, lo, hi)
-		out[i] = area / float64(hi-lo)
+		dst = append(dst, area/float64(hi-lo))
 	}
-	return out
+	return dst
 }

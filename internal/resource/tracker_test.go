@@ -3,6 +3,7 @@ package resource
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -372,8 +373,8 @@ func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b)
 
 // compare checks Len exactly and every reader under math.Float64bits: At
 // and Before at each transition time and one ulp either side of it, Delta
-// between consecutive transition times, and Delta, Mean and Samples over
-// random windows.
+// between consecutive transition times, and Delta, Mean, Samples and
+// AppendSamples over random windows.
 func (p *trackerPair) compare(tb testing.TB, rng *rand.Rand) {
 	tb.Helper()
 	if got, want := p.tr.Len(), p.ref.Len(); got != want {
@@ -416,6 +417,23 @@ func (p *trackerPair) compare(tb testing.TB, rng *rand.Rand) {
 		for i := range got {
 			if !same(got[i], want[i]) {
 				tb.Fatalf("Samples(%v, %v, %d)[%d] = %v, reference %v", a, b, n, i, got[i], want[i])
+			}
+		}
+		// AppendSamples extends a non-empty dst, with spare capacity or
+		// without, by exactly the buckets Samples returns.
+		dst := make([]float64, 1+rng.Intn(3), 4+rng.Intn(2)*n)
+		for i := range dst {
+			dst[i] = -float64(i + 1)
+		}
+		head := len(dst)
+		wantApp := append(slices.Clone(dst), got...)
+		app := p.tr.AppendSamples(dst, a, b, n)
+		if len(app) != len(wantApp) {
+			tb.Fatalf("AppendSamples(%d values, %v, %v, %d) has %d values, want %d", head, a, b, n, len(app), len(wantApp))
+		}
+		for i := range app {
+			if !same(app[i], wantApp[i]) {
+				tb.Fatalf("AppendSamples(%d values, %v, %v, %d)[%d] = %v, want %v", head, a, b, n, i, app[i], wantApp[i])
 			}
 		}
 	}

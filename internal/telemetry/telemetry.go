@@ -34,7 +34,7 @@ type Config struct {
 	// the JSONL exporter) sees every snapshot regardless.
 	RingSize int
 	// SamplesPerMachine is the utilization sampling density per window per
-	// machine (default 8) — the n passed to metrics.MachineUtilSamples.
+	// machine (default 8) — the n passed to metrics.AppendMachineUtilSamples.
 	SamplesPerMachine int
 	// OnSnapshot, when set, observes every captured snapshot in order — the
 	// hook the JSONL streamer and monobench --telemetry attach to. It runs on
@@ -141,6 +141,10 @@ type Sampler struct {
 	count int
 	seq   int
 	lastT sim.Time
+
+	// cpu, disk, net and mem hold one tick's utilization samples per
+	// resource; capture refills them every tick, reusing their storage.
+	cpu, disk, net, mem []float64
 }
 
 // Start attaches a sampler to c's engine, sampling every cfg.Interval of
@@ -153,7 +157,6 @@ func Start(c *cluster.Cluster, d *jobsched.Driver, cfg Config) *Sampler {
 		c:     c,
 		d:     d,
 		res:   model.ClusterResources(c),
-		ring:  make([]Snapshot, 0, min(cfg.RingSize, 256)),
 		lastT: c.Engine.Now(),
 	}
 	s.tick = c.Engine.Every(cfg.Interval, s.capture)
@@ -181,23 +184,39 @@ func (s *Sampler) capture() {
 	s.seq++
 	snap := Snapshot{Seq: s.seq, T0: t0, T1: t1}
 
+	// Every timeline is sampled once: each resource's samples for all
+	// machines go into one reused buffer in machine order (UtilSamples'
+	// layout), each machine's mean is read from its own stretch, and the
+	// stage ranking then takes the whole buffers.
 	n := s.cfg.SamplesPerMachine
+	cpu, disk, net, mem := s.cpu[:0], s.disk[:0], s.net[:0], s.mem[:0]
+	modelsMem := false
+	snap.Machines = make([]MachineUtil, 0, len(s.c.Machines))
 	for _, m := range s.c.Machines {
-		mu := MachineUtil{
-			Machine: m.ID,
-			CPU:     meanOrAbsent(metrics.MachineUtilSamples(m, metrics.CPU, t0, t1, n)),
-			Disk:    meanOrAbsent(metrics.MachineUtilSamples(m, metrics.Disk, t0, t1, n)),
-			Net:     meanOrAbsent(metrics.MachineUtilSamples(m, metrics.Network, t0, t1, n)),
-		}
+		mu := MachineUtil{Machine: m.ID}
+		cpu, mu.CPU = appendMean(cpu, m, metrics.CPU, t0, t1, n)
+		disk, mu.Disk = appendMean(disk, m, metrics.Disk, t0, t1, n)
+		net, mu.Net = appendMean(net, m, metrics.Network, t0, t1, n)
 		// The memory series only exists on machines that model it; a nil
 		// pointer keeps the field out of the stream everywhere else.
-		if samples := metrics.MachineUtilSamples(m, metrics.Memory, t0, t1, n); samples != nil {
-			v := meanOrAbsent(samples)
+		i := len(mem)
+		mem = metrics.AppendMachineUtilSamples(mem, m, metrics.Memory, t0, t1, n)
+		if len(mem) > i {
+			v := meanOrAbsent(mem[i:])
 			mu.Mem = &v
 		}
+		modelsMem = modelsMem || m.Memory != nil
 		snap.Machines = append(snap.Machines, mu)
 	}
-	snap.Stage = metrics.StageUtil(s.c, t0, t1, n)
+	s.cpu, s.disk, s.net, s.mem = cpu, disk, net, mem
+	// As in metrics.StageUtil, only clusters that model memory rank it.
+	names := [...]metrics.ResourceName{metrics.CPU, metrics.Disk, metrics.Network, metrics.Memory}
+	series := [...][]float64{cpu, disk, net, mem}
+	ranked := len(names) - 1
+	if modelsMem {
+		ranked++
+	}
+	snap.Stage = metrics.RankStage(names[:ranked], series[:ranked])
 
 	if s.d != nil {
 		for _, name := range s.d.PoolNames() {
@@ -293,25 +312,24 @@ func (s *Sampler) Latest() (Snapshot, bool) {
 	return s.ring[(s.start+s.count-1)%len(s.ring)], true
 }
 
-// meanOrAbsent averages a sample series, or returns -1 for a machine that
-// lacks the resource (nil series).
+// appendMean appends machine m's samples of resource r to buf and returns
+// the extended buffer with the mean of m's samples, or -1 when m lacks r.
+func appendMean(buf []float64, m *cluster.Machine, r metrics.ResourceName, t0, t1 sim.Time, n int) ([]float64, float64) {
+	i := len(buf)
+	buf = metrics.AppendMachineUtilSamples(buf, m, r, t0, t1, n)
+	return buf, meanOrAbsent(buf[i:])
+}
+
+// meanOrAbsent averages one machine's samples of a resource, or returns -1
+// when there are none: the machine lacks the resource or the window is
+// empty.
 func meanOrAbsent(samples []float64) float64 {
-	if samples == nil {
+	if len(samples) == 0 {
 		return -1
 	}
 	var sum float64
 	for _, v := range samples {
 		sum += v
 	}
-	if len(samples) == 0 {
-		return 0
-	}
 	return sum / float64(len(samples))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
