@@ -1,9 +1,8 @@
 package jobsched_test
 
 // Driver hot-path benchmarks: the steady-state cost of pushing repeated
-// identical jobs through one long-lived driver (the execution-template
-// cache's target workload) and the pure control-plane cost of a submission,
-// plus the allocation guard on that submission cost.
+// identical jobs through one long-lived driver and the pure control-plane
+// cost of a submission, plus the allocation guard on that submission cost.
 
 import (
 	"runtime"
@@ -34,9 +33,8 @@ func steadySpec(tb testing.TB, c *cluster.Cluster) (*workloads.Env, *task.JobSpe
 
 // BenchmarkMultiJobSteadyState measures one long-lived monotasks driver
 // absorbing repeated identical job submissions through its default
-// fair-share pool: submit, run to completion, repeat. After the first
-// iteration the driver's execution-template cache serves every
-// instantiation, so this is the steady-state multi-tenant hot path.
+// fair-share pool: submit, run to completion, repeat — the steady-state
+// multi-tenant hot path.
 func BenchmarkMultiJobSteadyState(b *testing.B) {
 	c, err := cluster.New(2, cluster.M2_4XLarge())
 	if err != nil {
@@ -62,9 +60,8 @@ func BenchmarkMultiJobSteadyState(b *testing.B) {
 }
 
 // idleExec is an executor that never runs anything: zero capacity, so
-// submissions exercise only the driver's control plane (validation, template
-// lookup, stage-state instantiation, pool admission) and no task ever
-// launches.
+// submissions exercise only the driver's control plane (validation,
+// stage-state instantiation, pool admission) and no task ever launches.
 type idleExec struct{ id int }
 
 func (e idleExec) MachineID() int          { return e.id }
@@ -95,7 +92,7 @@ func submitDriver(tb testing.TB) (*jobsched.Driver, *task.JobSpec) {
 
 // BenchmarkDriverSubmit measures the allocation cost of Submit alone:
 // identical jobs into a zero-capacity cluster, so each op is exactly one
-// control-plane instantiation (template-cache hit after the first).
+// control-plane instantiation.
 func BenchmarkDriverSubmit(b *testing.B) {
 	d, spec := submitDriver(b)
 	b.ReportAllocs()
@@ -107,9 +104,9 @@ func BenchmarkDriverSubmit(b *testing.B) {
 	}
 }
 
-// maxSubmitAllocs bounds the heap allocations of one template-cache-hit
-// Submit. A submit measures 13.001 allocations over 100k jobs, so one extra
-// allocation per submit fails the bound.
+// maxSubmitAllocs bounds the heap allocations of one Submit. A submit
+// measures 13.001 allocations over 100k jobs, so one extra allocation per
+// submit fails the bound.
 const maxSubmitAllocs = 14
 
 // TestSubmitSustains100kJobs is the submission-scale and allocation guard:
@@ -118,7 +115,7 @@ const maxSubmitAllocs = 14
 // mean allocations per submit stay at or below maxSubmitAllocs.
 func TestSubmitSustains100kJobs(t *testing.T) {
 	d, spec := submitDriver(t)
-	// Warm the template cache and the admission structures off the books.
+	// Warm the admission structures off the books.
 	if _, err := d.Submit(spec); err != nil {
 		t.Fatal(err)
 	}

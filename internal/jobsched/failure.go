@@ -149,7 +149,7 @@ func (d *Driver) killAttemptsOn(st *stageState, m int) {
 // output. A finished consumer already has its data; the lost files are then
 // irrelevant.
 func (d *Driver) childNeedsOutput(h *JobHandle, st *stageState) bool {
-	for _, cid := range h.tpl.children[st.spec.ID] {
+	for _, cid := range st.children {
 		if !h.stages[cid].finished {
 			return true
 		}
@@ -185,7 +185,7 @@ func (d *Driver) reopenStage(h *JobHandle, st *stageState, lost []int) {
 	st.metrics.End = 0
 	h.remaining++
 	h.done = false
-	for _, cid := range h.tpl.children[st.spec.ID] {
+	for _, cid := range st.children {
 		child := h.stages[cid]
 		if child.finished {
 			continue

@@ -162,7 +162,7 @@ func (d *Driver) readmitMachine(w int, until sim.Time) {
 // fetch timeout expires, charging a failure and retrying the task on
 // another machine. The abandoned attempt keeps its slot until the executor
 // finishes simulating it (zombie), like any other transient failure. The
-// timer callback is a pooled timeoutOp (template.go), not a fresh closure.
+// timer callback is a pooled timeoutOp (instantiate.go), not a fresh closure.
 func (d *Driver) armFetchTimeout(st *stageState, ti int, att *attempt, w int) {
 	d.cluster.Engine.After(d.cfg.FetchRetryTimeout, d.takeTimeout(st, ti, w, att).fn)
 }

@@ -477,23 +477,16 @@ func metricsFingerprint(hs []*JobHandle) uint64 {
 // crash and recovery, exclusion backoff — over five same-shaped jobs that
 // arrive at different times. It runs with a fetch timeout below a healthy
 // reduce attempt's runtime (every job aborts on its retry budget) and with
-// one above it (every job recovers and completes). Leg A runs each twice and
-// checks that every observable outcome replays bit for bit, and that the
-// execution-template cache served every submission after the first. Leg B
-// empties the cache before every submission, so each job instantiates from
-// a freshly built template; its outcome must match leg A's exactly. A
-// divergence means cached control-plane state leaked between jobs.
+// one above it (every job recovers and completes), each twice, and checks
+// that every observable outcome replays bit for bit.
 func TestResilienceGauntletReplays(t *testing.T) {
 	arrivals := []sim.Time{0, 3, 7, 12, 20}
-	run := func(timeout sim.Duration, emptyCache bool) ([]*JobHandle, *Driver) {
+	run := func(timeout sim.Duration) []*JobHandle {
 		c, d := monoDriver(t, 4, Config{FetchRetryTimeout: timeout, MaxTaskFailures: 50, ExcludeAfterFailures: 3, ExcludeBackoff: 5})
 		hs := make([]*JobHandle, len(arrivals))
 		for i, at := range arrivals {
 			i := i
 			c.Engine.At(at, func() {
-				if emptyCache {
-					d.templates = nil
-				}
 				spec := mapReduceJob(12, 6)
 				spec.Name = fmt.Sprintf("mr%d", i)
 				h, err := d.Submit(spec)
@@ -509,31 +502,18 @@ func TestResilienceGauntletReplays(t *testing.T) {
 		c.Engine.At(25, func() { _ = d.RecoverMachine(2) })
 		c.Engine.At(40, func() { c.Fabric.SetLinkSpeed(0, 1) })
 		d.Run()
-		return hs, d
+		return hs
 	}
 	for _, timeout := range []sim.Duration{3, 8} {
-		cached, d := run(timeout, false)
-		for i, h := range cached {
+		hs := run(timeout)
+		for i, h := range hs {
 			if h == nil {
 				t.Fatalf("timeout %v: job %d was never submitted", timeout, i)
 			}
-			if h.tpl != cached[0].tpl {
-				t.Fatalf("timeout %v: job %d missed the template cache", timeout, i)
-			}
 		}
-		if len(d.templates) != 1 {
-			t.Fatalf("timeout %v: cache holds %d templates for one job shape, want 1", timeout, len(d.templates))
-		}
-		first := metricsFingerprint(cached)
-		if again, _ := run(timeout, false); metricsFingerprint(again) != first {
+		first := metricsFingerprint(hs)
+		if again := run(timeout); metricsFingerprint(again) != first {
 			t.Fatalf("timeout %v: gauntlet replay diverged: %x vs %x", timeout, first, metricsFingerprint(again))
-		}
-		fresh, _ := run(timeout, true)
-		if fresh[1].tpl == fresh[0].tpl {
-			t.Fatalf("timeout %v: emptied cache still served a template", timeout)
-		}
-		if got := metricsFingerprint(fresh); got != first {
-			t.Fatalf("timeout %v: template cache changed the gauntlet's outcome: cached %x vs fresh %x", timeout, first, got)
 		}
 	}
 }
