@@ -54,7 +54,17 @@ func SortedPercentile(sorted []float64, p float64) float64 {
 	if lo+1 >= len(sorted) {
 		return sorted[len(sorted)-1]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	a, b := sorted[lo], sorted[lo+1]
+	// a*(1-frac) + b*frac can round one ulp outside [a, b] ({11, 11} at
+	// p = 21 gives 11.000000000000002), so clamp it back.
+	v := a*(1-frac) + b*frac
+	if v < a {
+		return a
+	}
+	if v > b {
+		return b
+	}
+	return v
 }
 
 // sortedBox summarizes samples already in ascending order as a BoxPlot.

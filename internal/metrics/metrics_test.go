@@ -58,6 +58,30 @@ func TestBoxOrdering(t *testing.T) {
 	}
 }
 
+// TestPercentileEqualNeighbours pins inputs on which unclamped
+// interpolation between two equal samples rounds one ulp past them.
+func TestPercentileEqualNeighbours(t *testing.T) {
+	for p := 0.0; p <= 100; p += 7 {
+		if got := Percentile([]float64{251, 251}, p); got != 251 {
+			t.Fatalf("Percentile({251, 251}, %v) = %v, want 251", p, got)
+		}
+	}
+	if got := SortedPercentile([]float64{11, 11}, 21); got != 11 {
+		t.Fatalf("SortedPercentile({11, 11}, 21) = %v, want 11", got)
+	}
+	// Unclamped, 5 samples give 0.8000000000000002 and 8 give
+	// 0.7999999999999999.
+	for _, n := range []int{5, 8} {
+		flat := make([]float64, n)
+		for i := range flat {
+			flat[i] = 0.8
+		}
+		if got := Percentile(flat, 5); got != 0.8 {
+			t.Fatalf("5th percentile of %d samples of 0.8 = %v, want 0.8", n, got)
+		}
+	}
+}
+
 // Property: percentiles are bounded by min and max and monotone in p.
 func TestPropertyPercentileMonotone(t *testing.T) {
 	f := func(raw []uint8) bool {
