@@ -3,11 +3,19 @@ package pipeexec
 import (
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/task"
 )
 
 func TestPartialCacheFetchCompletes(t *testing.T) {
-	c, g := newTestGroup(t, 2, 2, 2, Options{CacheCapacity: 10e6, DirtyLimit: 3e6})
+	// 60 MB of memory derives a 10 MB cache and a 3 MB dirty limit.
+	spec := testSpec(2, 2)
+	spec.MemBytes = 60e6
+	c, err := cluster.New(2, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGroup(c, Options{})
 	g.Workers[1].cache.write(0, 30e6) // resident capped at 10 MB
 	reduce := &task.StageSpec{ID: 1, Name: "red", NumTasks: 1, ParentIDs: []int{0}, OpCPU: 0.1, OutputBytes: 30e6}
 	tk := &task.Task{

@@ -15,17 +15,6 @@ type Options struct {
 	// TasksPerMachine is the slot count — Spark's only concurrency control
 	// (§6.6). Default: the machine's core count, Spark's default.
 	TasksPerMachine int
-	// WriteThrough forces task writes to disk synchronously instead of into
-	// the buffer cache — the "Spark (writes flushed)" configuration of
-	// Fig. 5.
-	WriteThrough bool
-	// ChunkBytes is the granularity of the fine-grained pipeline. Default
-	// 8 MB.
-	ChunkBytes int64
-	// CacheCapacity bounds buffer-cache residency. Default: one sixth of
-	// machine memory — on the paper's workers the executor JVM heap claims
-	// most of the 60 GB, leaving roughly 10 GB of page cache.
-	CacheCapacity int64
 	// DirtyLimit is the dirty-byte level above which writeback starts
 	// immediately. Default: 5% of machine memory (the kernel's
 	// vm.dirty_ratio spirit).
@@ -33,33 +22,29 @@ type Options struct {
 	// FlushDelay is the age at which dirty data is written back regardless
 	// of pressure. Default 30 s (vm.dirty_expire_centisecs).
 	FlushDelay sim.Duration
-	// FetchWindow is how many chunk fetches a reduce task keeps in flight.
-	// Default 2 (Spark's maxSizeInFlight spirit).
-	FetchWindow int
 	// Faults, when set, is consulted once per launched attempt; attempts it
 	// fails occupy their slot briefly and complete with TaskMetrics.Failed,
 	// exercising the driver's retry and exclusion policies (internal/faults).
 	Faults task.FaultInjector
 }
 
+const (
+	// chunkBytes is the granularity of the fine-grained pipeline.
+	chunkBytes = 8 * units.MB
+	// fetchWindow is how many chunk fetches a reduce task keeps in flight
+	// (Spark's maxSizeInFlight spirit).
+	fetchWindow = 2
+)
+
 func (o Options) withDefaults(m *cluster.Machine) Options {
 	if o.TasksPerMachine <= 0 {
 		o.TasksPerMachine = m.Spec.Cores
-	}
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = 8 * units.MB
-	}
-	if o.CacheCapacity <= 0 {
-		o.CacheCapacity = m.Spec.MemBytes / 6
 	}
 	if o.DirtyLimit <= 0 {
 		o.DirtyLimit = m.Spec.MemBytes / 20
 	}
 	if o.FlushDelay <= 0 {
 		o.FlushDelay = 30
-	}
-	if o.FetchWindow <= 0 {
-		o.FetchWindow = 2
 	}
 	return o
 }
@@ -76,7 +61,6 @@ type Worker struct {
 	peers   func(int) *Worker
 
 	serveCursor int
-	writeCursor int
 
 	// Free lists and scratch for the chunk pipeline (see task.go): pooled
 	// runningTask structs, fetch-interleave queues, and serve-side
@@ -122,7 +106,10 @@ func (op *xferOp) run() {
 func NewWorker(m *cluster.Machine, fabric *netsim.Fabric, eng *sim.Engine, opts Options) *Worker {
 	w := &Worker{machine: m, eng: eng, fabric: fabric, opts: opts.withDefaults(m)}
 	if len(m.Disks) > 0 {
-		w.cache = newBufferCache(w, w.opts.CacheCapacity, w.opts.DirtyLimit, w.opts.FlushDelay)
+		// The buffer cache holds one sixth of machine memory: on the paper's
+		// workers the executor JVM heap claims most of the 60 GB, leaving
+		// roughly 10 GB of page cache.
+		w.cache = newBufferCache(w, m.Spec.MemBytes/6, w.opts.DirtyLimit, w.opts.FlushDelay)
 	}
 	return w
 }
@@ -204,12 +191,6 @@ func (w *Worker) serveBlockRead(disk int, to int, bytes int64, done func()) {
 func (w *Worker) nextServeDisk() int {
 	d := w.serveCursor
 	w.serveCursor = (w.serveCursor + 1) % len(w.machine.Disks)
-	return d
-}
-
-func (w *Worker) nextWriteDisk() int {
-	d := w.writeCursor
-	w.writeCursor = (w.writeCursor + 1) % len(w.machine.Disks)
 	return d
 }
 

@@ -93,17 +93,6 @@ func TestDirtyThrottlingBlocksWriters(t *testing.T) {
 	}
 }
 
-func TestWriteThroughSerializesWrites(t *testing.T) {
-	c, g := newTestGroup(t, 1, 1, 1, Options{WriteThrough: true})
-	stage := &task.StageSpec{ID: 0, Name: "w", NumTasks: 1, OpCPU: 0.1, ShuffleOutBytes: 200e6}
-	tk := &task.Task{Stage: stage, Index: 0, Machine: 0}
-	m := run(c, g, []*task.Task{tk})[0]
-	// 2 s of synchronous disk writes dominate.
-	if m.End < 2.0 {
-		t.Fatalf("write-through task took %v, want ≥ 2.0", m.End)
-	}
-}
-
 func TestDirtyDataFlushedUnderPressure(t *testing.T) {
 	// Dirty limit is 10% of 1 GB ≈ 107 MB; writing 400 MB must trigger
 	// background device writes during the job.
