@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"net/http/httptest"
 	"os"
@@ -32,7 +33,7 @@ func fixtureStream(t *testing.T) []byte {
 	}
 	var buf bytes.Buffer
 	st := telemetry.NewStreamer(&buf)
-	if _, err := run.Jobs(c, env.FS, run.Options{
+	if _, err := run.JobsContext(context.Background(), c, env.FS, run.Options{
 		Mode:      run.Monotasks,
 		Telemetry: &telemetry.Config{Interval: 2, OnSnapshot: st.Observe},
 	}, job); err != nil {

@@ -4,6 +4,7 @@
 package integration
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
@@ -24,7 +25,7 @@ func runSort(t *testing.T, machines int, spec cluster.MachineSpec, mode run.Mode
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := run.Jobs(c, env.FS, run.Options{Mode: mode}, job)
+	ms, err := run.JobsContext(context.Background(), c, env.FS, run.Options{Mode: mode}, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestBDBMonoWithinPaperEnvelope(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ms, err := run.Jobs(c, env.FS, run.Options{Mode: mode}, job)
+			ms, err := run.JobsContext(context.Background(), c, env.FS, run.Options{Mode: mode}, job)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +162,7 @@ func TestMLWorkloadParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := run.Jobs(c, env.FS, run.Options{Mode: mode}, job)
+		ms, err := run.JobsContext(context.Background(), c, env.FS, run.Options{Mode: mode}, job)
 		if err != nil {
 			t.Fatal(err)
 		}

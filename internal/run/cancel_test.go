@@ -54,7 +54,7 @@ func TestVirtualDeadlineAborts(t *testing.T) {
 	// Measure the uninterrupted runtime first, then abort at half of it.
 	full := cluster.MustNew(2, cluster.M2_4XLarge())
 	fsFull, _ := dfs.New(dfs.Config{Machines: 2, DisksPerMachine: 2})
-	ms, err := Jobs(full, fsFull, Options{Mode: Monotasks}, cancelSpec("full", 16))
+	ms, err := JobsContext(context.Background(), full, fsFull, Options{Mode: Monotasks}, cancelSpec("full", 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestVirtualDeadlineAborts(t *testing.T) {
 	deadline := fullEnd / 2
 	c := cluster.MustNew(2, cluster.M2_4XLarge())
 	fs, _ := dfs.New(dfs.Config{Machines: 2, DisksPerMachine: 2})
-	ms, err = Jobs(c, fs, Options{Mode: Monotasks, Deadline: deadline}, cancelSpec("full", 16))
+	ms, err = JobsContext(context.Background(), c, fs, Options{Mode: Monotasks, Deadline: deadline}, cancelSpec("full", 16))
 	var aerr *AbortError
 	if !errors.As(err, &aerr) {
 		t.Fatalf("want *AbortError at virtual deadline, got %v", err)
@@ -106,7 +106,7 @@ func TestJobsAtContextAborts(t *testing.T) {
 		{Spec: cancelSpec("a", 8), At: 0},
 		{Spec: cancelSpec("b", 8), At: 1},
 	}
-	handles, err := JobsAt(c, fs, Options{Mode: Monotasks, Deadline: sim.Time(0.001)}, subs)
+	handles, err := JobsAtContext(context.Background(), c, fs, Options{Mode: Monotasks, Deadline: sim.Time(0.001)}, subs)
 	var aerr *AbortError
 	if !errors.As(err, &aerr) {
 		t.Fatalf("want *AbortError, got %v", err)
@@ -119,7 +119,7 @@ func TestJobsAtContextAborts(t *testing.T) {
 func TestJobsAtRejectsNegativeArrival(t *testing.T) {
 	c := cluster.MustNew(1, cluster.M2_4XLarge())
 	fs, _ := dfs.New(dfs.Config{Machines: 1, DisksPerMachine: 2})
-	_, err := JobsAt(c, fs, Options{Mode: Monotasks}, []Submission{
+	_, err := JobsAtContext(context.Background(), c, fs, Options{Mode: Monotasks}, []Submission{
 		{Spec: cancelSpec("late", 4), At: -1},
 	})
 	if err == nil {
@@ -134,7 +134,7 @@ func TestJobsAtRejectsNegativeArrival(t *testing.T) {
 func TestJobsAtRejectsNilSpec(t *testing.T) {
 	c := cluster.MustNew(1, cluster.M2_4XLarge())
 	fs, _ := dfs.New(dfs.Config{Machines: 1, DisksPerMachine: 2})
-	if _, err := JobsAt(c, fs, Options{Mode: Monotasks}, []Submission{{Spec: nil}}); err == nil {
+	if _, err := JobsAtContext(context.Background(), c, fs, Options{Mode: Monotasks}, []Submission{{Spec: nil}}); err == nil {
 		t.Fatal("nil submission spec accepted")
 	}
 }
@@ -159,7 +159,7 @@ func TestAbortAtAnyDeadlineLeavesFreshRunsIdentical(t *testing.T) {
 		c := cluster.MustNew(2, cluster.M2_4XLarge())
 		fs, _ := dfs.New(dfs.Config{Machines: 2, DisksPerMachine: 2})
 		o := Options{Mode: Monotasks, Deadline: deadline}
-		return Jobs(c, fs, o, cancelSpec("prop-a", 12), cancelSpec("prop-b", 12))
+		return JobsContext(context.Background(), c, fs, o, cancelSpec("prop-a", 12), cancelSpec("prop-b", 12))
 	}
 	golden, err := freshRun(0)
 	if err != nil {

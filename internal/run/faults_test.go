@@ -109,7 +109,7 @@ func TestFaultPlanInEnginePastIsAnError(t *testing.T) {
 	c.Engine.At(5, func() {})
 	c.Engine.Run()
 	inj := wiredInjector(t, c)
-	_, err := Jobs(c, fs, Options{Mode: Monotasks, Faults: inj}, cancelSpec("late", 4))
+	_, err := JobsContext(context.Background(), c, fs, Options{Mode: Monotasks, Faults: inj}, cancelSpec("late", 4))
 	if err == nil || !strings.Contains(err.Error(), "before the engine clock") {
 		t.Fatalf("want a past-plan error, got %v", err)
 	}

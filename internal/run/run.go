@@ -50,21 +50,21 @@ func (m Mode) String() string {
 
 // Options configure a run.
 type Options struct {
+	// Mode selects the executor every machine runs.
 	Mode Mode
 	// TasksPerMachine overrides the Spark slot count (Fig. 18's knob).
 	// Ignored by Monotasks, which configures concurrency per resource.
 	TasksPerMachine int
-	// Mono and Pipe tune the respective executors further.
+	// Mono tunes the monotasks executor further.
 	Mono core.Options
-	Pipe pipeexec.Options
 	// Faults, when set, is the run's fault injector. Every driver this
 	// package builds installs its plan on the cluster engine (once; later
 	// drivers on the same engine reuse it) and binds the driver, so the
 	// plan's crashes, slowdowns and task kills fire; the executors the mode
 	// selects consult it for probability windows at each attempt launch.
 	Faults *faults.Injector
-	// Sched configures the driver: its resilience and speculation policies,
-	// its scheduling pools, and its execution-template cache.
+	// Sched configures the driver: its resilience and speculation policies
+	// and its scheduling pools.
 	Sched jobsched.Config
 	// Telemetry, when set, attaches a live sampler to the run's engine so the
 	// run emits periodic snapshots (utilization, pool state, per-job
@@ -191,12 +191,9 @@ func Executors(c *cluster.Cluster, o Options) []task.Executor {
 			execs[i] = w
 		}
 	default:
-		po := o.Pipe
+		po := pipeexec.Options{TasksPerMachine: o.TasksPerMachine}
 		if o.Faults != nil {
 			po.Faults = o.Faults
-		}
-		if o.TasksPerMachine > 0 {
-			po.TasksPerMachine = o.TasksPerMachine
 		}
 		if o.Mode == SparkWriteThrough {
 			// Force prompt writeback: a tiny dirty budget throttles writers
@@ -236,15 +233,9 @@ func DriverWith(c *cluster.Cluster, fs *dfs.FS, execs []task.Executor, o Options
 	return d, nil
 }
 
-// Jobs executes specs (submitted together, so they run concurrently) and
-// returns their metrics in submission order. A virtual Options.Deadline is
-// honoured; for cancellation or a wall-clock bound use JobsContext.
-func Jobs(c *cluster.Cluster, fs *dfs.FS, o Options, specs ...*task.JobSpec) ([]*task.JobMetrics, error) {
-	return JobsContext(context.Background(), c, fs, o, specs...)
-}
-
-// JobsContext is Jobs with cooperative cancellation: the run aborts cleanly
-// when ctx is done or the virtual Options.Deadline passes, returning the partial
+// JobsContext executes specs (submitted together, so they run concurrently)
+// and returns their metrics in submission order. The run aborts cleanly when
+// ctx is done or the virtual Options.Deadline passes, returning the partial
 // metrics together with an *AbortError (unfinished jobs are marked failed
 // and end-stamped at the abort time). The check rides the engine's event
 // loop, so an un-cancelled run is byte-identical to one executed without a
@@ -267,22 +258,21 @@ func JobsContext(ctx context.Context, c *cluster.Cluster, fs *dfs.FS, o Options,
 // Submission is one job of an open-loop arrival schedule: a spec, the
 // virtual time it arrives at the driver, and its scheduling tags.
 type Submission struct {
+	// Spec is the job to submit.
 	Spec *task.JobSpec
-	At   sim.Time
+	// At is the virtual time the job arrives.
+	At sim.Time
+	// Opts carries the job's pool, priority and deadline.
 	Opts jobsched.SubmitOptions
 }
 
-// JobsAt executes an arrival schedule: each job is submitted at its arrival
-// time while the cluster runs, without waiting for earlier jobs (an open
-// loop — the load does not back off when the cluster falls behind). Returns
-// the job handles in schedule order; handle metrics measure sojourn time
-// (admission queueing included) from each job's arrival.
-func JobsAt(c *cluster.Cluster, fs *dfs.FS, o Options, subs []Submission) ([]*jobsched.JobHandle, error) {
-	return JobsAtContext(context.Background(), c, fs, o, subs)
-}
-
-// JobsAtContext is JobsAt with cooperative cancellation (see JobsContext).
-// An arrival schedule with a negative arrival time is rejected up front — it
+// JobsAtContext executes an arrival schedule: each job is submitted at its
+// arrival time while the cluster runs, without waiting for earlier jobs (an
+// open loop — the load does not back off when the cluster falls behind).
+// Returns the job handles in schedule order; handle metrics measure sojourn
+// time (admission queueing included) from each job's arrival. Cancellation
+// through ctx and the virtual Options.Deadline works as in JobsContext. A
+// submission that arrives before the cluster clock is rejected up front — it
 // cannot be scheduled, and letting it reach the engine would panic.
 func JobsAtContext(ctx context.Context, c *cluster.Cluster, fs *dfs.FS, o Options, subs []Submission) ([]*jobsched.JobHandle, error) {
 	for i, s := range subs {

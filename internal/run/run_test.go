@@ -1,6 +1,7 @@
 package run
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
@@ -58,7 +59,7 @@ func TestJobsRunsConcurrently(t *testing.T) {
 			{ID: 0, Name: name, NumTasks: 8, OpCPU: 1},
 		}}
 	}
-	ms, err := Jobs(c, fs, Options{Mode: Monotasks}, mk("a"), mk("b"))
+	ms, err := JobsContext(context.Background(), c, fs, Options{Mode: Monotasks}, mk("a"), mk("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestJobsAtHonoursArrivalSchedule(t *testing.T) {
 	o := Options{Mode: Monotasks, Sched: jobsched.Config{
 		Pools: []jobsched.PoolConfig{{Name: "p", Weight: 2}},
 	}}
-	hs, err := JobsAt(c, fs, o, []Submission{
+	hs, err := JobsAtContext(context.Background(), c, fs, o, []Submission{
 		{Spec: mk("a"), At: 0, Opts: jobsched.SubmitOptions{Pool: "p"}},
 		{Spec: mk("b"), At: 0.5},
 		{Spec: mk("c"), At: 2},
@@ -113,7 +114,7 @@ func TestJobsAtRejectsUndeclaredPool(t *testing.T) {
 	spec := &task.JobSpec{Name: "x", Stages: []*task.StageSpec{
 		{ID: 0, Name: "x", NumTasks: 2, OpCPU: 1},
 	}}
-	_, err := JobsAt(c, fs, Options{Mode: Monotasks}, []Submission{
+	_, err := JobsAtContext(context.Background(), c, fs, Options{Mode: Monotasks}, []Submission{
 		{Spec: spec, At: 0, Opts: jobsched.SubmitOptions{Pool: "ghost"}},
 	})
 	if err == nil {
@@ -124,7 +125,7 @@ func TestJobsAtRejectsUndeclaredPool(t *testing.T) {
 func TestJobsRejectsInvalidSpec(t *testing.T) {
 	c := cluster.MustNew(1, cluster.M2_4XLarge())
 	fs, _ := dfs.New(dfs.Config{Machines: 1, DisksPerMachine: 2})
-	if _, err := Jobs(c, fs, Options{}, &task.JobSpec{Name: "bad"}); err == nil {
+	if _, err := JobsContext(context.Background(), c, fs, Options{}, &task.JobSpec{Name: "bad"}); err == nil {
 		t.Fatal("invalid job accepted")
 	}
 }
@@ -140,7 +141,7 @@ func TestWriteThroughModeForcesWriteback(t *testing.T) {
 	for _, m := range []Mode{Spark, SparkWriteThrough} {
 		c := cluster.MustNew(1, cluster.M2_4XLarge())
 		fs, _ := dfs.New(dfs.Config{Machines: 1, DisksPerMachine: 2})
-		ms, err := Jobs(c, fs, Options{Mode: m}, mkJob())
+		ms, err := JobsContext(context.Background(), c, fs, Options{Mode: m}, mkJob())
 		if err != nil {
 			t.Fatal(err)
 		}

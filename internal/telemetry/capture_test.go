@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -101,7 +102,7 @@ func runChecked(t *testing.T, c *cluster.Cluster, env *workloads.Env, job *task.
 	t.Helper()
 	cc := &captureCheck{t: t, c: c, n: n}
 	cfg := cc.config(interval)
-	if _, err := run.Jobs(c, env.FS, run.Options{Mode: run.Monotasks, Telemetry: &cfg}, job); err != nil {
+	if _, err := run.JobsContext(context.Background(), c, env.FS, run.Options{Mode: run.Monotasks, Telemetry: &cfg}, job); err != nil {
 		t.Fatal(err)
 	}
 	return cc

@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -27,7 +28,7 @@ func sortRun(t *testing.T, cfg telemetry.Config) (*cluster.Cluster, *telemetry.S
 		t.Fatal(err)
 	}
 	var s *telemetry.Sampler
-	ms, err := run.Jobs(c, env.FS, run.Options{
+	ms, err := run.JobsContext(context.Background(), c, env.FS, run.Options{
 		Mode:        run.Monotasks,
 		Telemetry:   &cfg,
 		OnTelemetry: func(got *telemetry.Sampler) { s = got },
