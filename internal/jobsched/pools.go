@@ -46,6 +46,8 @@ func (p PoolPolicy) String() string {
 
 // PoolConfig declares one scheduling pool in Config.Pools.
 type PoolConfig struct {
+	// Name identifies the pool in SubmitOptions.Pool; it must be non-empty
+	// and unique.
 	Name string
 	// Weight is the pool's fair-share weight relative to other pools'
 	// (default 1): while several pools have runnable work, each receives

@@ -1,8 +1,8 @@
 // Command doccheck is the godoc audit gate: it parses Go packages and fails
 // when an exported identifier — type, function, method, or exported struct
-// field — lacks a doc comment. CI runs it over the packages whose godoc the
-// repo treats as API documentation (internal/sim, internal/netsim,
-// internal/sweep); run it by hand over any package directory:
+// field — lacks a doc comment. CI's "Godoc audit" step runs it over the
+// packages whose godoc the repo treats as API documentation; run it by hand
+// over any package directory:
 //
 //	go run ./perf/doccheck internal/sim internal/netsim internal/sweep
 //
