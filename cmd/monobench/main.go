@@ -6,20 +6,23 @@
 //	monobench sort          # §5.2 600 GB sort
 //	monobench all
 //
-// Every experiment is deterministic: repeated runs print identical numbers.
+// Flags may come before or after the names. Every experiment is
+// deterministic: repeated runs print identical numbers. Each one then judges
+// its figure's claim, and monobench exits 1 when any claim is false.
 package main
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -36,33 +39,54 @@ type printer interface{ Fprint(io.Writer) }
 // run exit non-zero.
 type verdict interface{ Verify() error }
 
-// order lists experiments in paper order for `monobench all`.
-var order = []string{
-	"fig2", "sort", "fig5", "fig6", "fig7", "fig8", "fig9",
-	"fig11", "fig12", "sec63", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-	"ablations", "failure", "chaos", "multijob", "memory",
+// config is monobench's command line, less the experiment names.
+type config struct {
+	// csvDir, when set, receives each experiment's data as CSV files.
+	csvDir string
+	// smoke shrinks experiments that support it (multijob, memory) to CI
+	// size.
+	smoke bool
+	// parallel sets how many grid cells the sweep pool runs concurrently.
+	// Each cell is an independent simulation; results are identical at any
+	// setting.
+	parallel int
+	// timeout, when positive, bounds each experiment's wall-clock time:
+	// cells still pending when it expires fail with a deadline error and
+	// runs already simulating are aborted cleanly between event batches, so
+	// a stuck experiment reports failed instead of hanging the whole run.
+	timeout time.Duration
+	// telemetry, when set, attaches a live sampler to every experiment run
+	// and writes all captured snapshots to this file as JSON Lines
+	// (cmd/monotop reads the format). Output bytes are identical at any
+	// parallel setting.
+	telemetry string
 }
 
-// csvDir, when set, receives each experiment's data as CSV files.
-var csvDir = flag.String("csv", "", "also write each experiment's table as CSV into this directory")
-
-// smoke shrinks experiments that support it (multijob) to CI size.
-var smoke = flag.Bool("smoke", false, "run a reduced, CI-sized version of experiments that support it")
-
-// parallel sets how many grid cells the sweep pool runs concurrently. Each
-// cell is an independent simulation; results are identical at any setting.
-var parallel = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for experiment grids (1 = serial)")
-
-// timeout, when positive, bounds each experiment's wall-clock time: cells
-// still pending when it expires fail with a deadline error and runs already
-// simulating are aborted cleanly between event batches, so a stuck
-// experiment reports failed instead of hanging the whole benchmark run.
-var timeout = flag.Duration("timeout", 0, "per-experiment wall-clock budget (0 = none), e.g. 90s")
-
-// telemetryOut, when set, attaches a live sampler to every experiment run and
-// writes all captured snapshots to this file as JSON Lines (cmd/monotop reads
-// the format). Output bytes are identical at any --parallel setting.
-var telemetryOut = flag.String("telemetry", "", "write live telemetry snapshots from every run to this JSONL file")
+// parseArgs splits args into the flags and the experiment names. The flag
+// package stops at the first non-flag argument, so the arguments after each
+// name are parsed again: flags may follow names.
+func parseArgs(args []string, stderr io.Writer) (config, []string, error) {
+	var c config
+	fs := flag.NewFlagSet("monobench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { usage(stderr) }
+	fs.StringVar(&c.csvDir, "csv", "", "also write each experiment's table as CSV into this directory")
+	fs.BoolVar(&c.smoke, "smoke", false, "run a reduced, CI-sized version of experiments that support it")
+	fs.IntVar(&c.parallel, "parallel", runtime.NumCPU(), "worker goroutines for experiment grids (1 = serial)")
+	fs.DurationVar(&c.timeout, "timeout", 0, "per-experiment wall-clock budget (0 = none), e.g. 90s")
+	fs.StringVar(&c.telemetry, "telemetry", "", "write live telemetry snapshots from every run to this JSONL file")
+	var names []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return c, nil, err
+		}
+		if fs.NArg() == 0 {
+			return c, names, nil
+		}
+		names = append(names, fs.Arg(0))
+		args = fs.Args()[1:]
+	}
+}
 
 // telemetryCollector gathers each run's snapshot ring as one serialized JSONL
 // chunk. Sweep cells finish in nondeterministic wall-clock order under
@@ -110,178 +134,124 @@ func (tc *telemetryCollector) write(path string) error {
 }
 
 func main() {
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
-	// Accept --smoke and --parallel after the experiment names too (flag
-	// stops parsing at the first non-flag argument).
-	kept := args[:0]
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		if a == "--smoke" || a == "-smoke" {
-			*smoke = true
-			continue
-		}
-		if v, ok := strings.CutPrefix(a, "--parallel="); ok {
-			setParallelArg(v)
-			continue
-		}
-		if v, ok := strings.CutPrefix(a, "-parallel="); ok {
-			setParallelArg(v)
-			continue
-		}
-		if a == "--parallel" || a == "-parallel" {
-			if i+1 >= len(args) {
-				fmt.Fprintf(os.Stderr, "monobench: %s needs a value\n", a)
-				os.Exit(2)
-			}
-			i++
-			setParallelArg(args[i])
-			continue
-		}
-		if v, ok := strings.CutPrefix(a, "--telemetry="); ok {
-			*telemetryOut = v
-			continue
-		}
-		if v, ok := strings.CutPrefix(a, "-telemetry="); ok {
-			*telemetryOut = v
-			continue
-		}
-		if a == "--telemetry" || a == "-telemetry" {
-			if i+1 >= len(args) {
-				fmt.Fprintf(os.Stderr, "monobench: %s needs a value\n", a)
-				os.Exit(2)
-			}
-			i++
-			*telemetryOut = args[i]
-			continue
-		}
-		if v, ok := strings.CutPrefix(a, "--timeout="); ok {
-			setTimeoutArg(v)
-			continue
-		}
-		if v, ok := strings.CutPrefix(a, "-timeout="); ok {
-			setTimeoutArg(v)
-			continue
-		}
-		if a == "--timeout" || a == "-timeout" {
-			if i+1 >= len(args) {
-				fmt.Fprintf(os.Stderr, "monobench: %s needs a value\n", a)
-				os.Exit(2)
-			}
-			i++
-			setTimeoutArg(args[i])
-			continue
-		}
-		kept = append(kept, a)
+	os.Exit(monobench(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// monobench runs the experiments args names, printing their tables to
+// stdout and every failure to stderr, and returns the exit status: 0 when
+// every experiment completed and its verdict holds, 1 when any failed, 2 on
+// a usage error.
+func monobench(args []string, stdout, stderr io.Writer) int {
+	cfg, names, err := parseArgs(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
-	args = kept
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
+	if err != nil {
+		return 2
 	}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "monobench: %v\n", err)
-			os.Exit(1)
+	if len(names) == 1 && names[0] == "all" {
+		names = nil
+		for _, e := range experiments {
+			names = append(names, e.name)
 		}
 	}
-	setup := figures.Setup{Workers: *parallel}
+	if len(names) == 0 {
+		usage(stderr)
+		return 2
+	}
+	runs := make([]experiment, len(names))
+	for i, name := range names {
+		j := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == name })
+		if j < 0 {
+			fmt.Fprintf(stderr, "monobench: unknown experiment %q\n\n", name)
+			usage(stderr)
+			return 2
+		}
+		runs[i] = experiments[j]
+	}
+	if cfg.csvDir != "" {
+		if err := os.MkdirAll(cfg.csvDir, 0o755); err != nil {
+			fmt.Fprintf(stderr, "monobench: %v\n", err)
+			return 1
+		}
+	}
+	setup := figures.Setup{Workers: cfg.parallel}
 	var tc *telemetryCollector
-	if *telemetryOut != "" {
+	if cfg.telemetry != "" {
 		tc = &telemetryCollector{}
 		setup.Telemetry = tc.collect
 	}
-	names := args
-	if len(args) == 1 && args[0] == "all" {
-		names = order
-	}
 	var failed []string
-	for _, name := range names {
-		runner, ok := experiments[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "monobench: unknown experiment %q\n\n", name)
-			usage()
-			os.Exit(2)
-		}
+	for _, e := range runs {
 		start := time.Now()
-		ctx, cancel := experimentContext()
-		sections, err := runner(ctx, setup)
+		ctx, cancel := experimentContext(cfg.timeout)
+		sections, err := e.run(ctx, setup, cfg.smoke)
 		cancel()
 		if err != nil {
 			// A failed experiment (timed-out or crashed cells) is reported
 			// and the remaining experiments still run; the exit code at the
 			// end says the run was incomplete.
-			fmt.Fprintf(os.Stderr, "monobench: %s: FAILED after %v: %v\n",
-				name, time.Since(start).Round(time.Millisecond), err)
-			failed = append(failed, name)
+			fmt.Fprintf(stderr, "monobench: %s: FAILED after %v: %v\n",
+				e.name, time.Since(start).Round(time.Millisecond), err)
+			failed = append(failed, e.name)
 			continue
 		}
 		for i, s := range sections {
-			s.Fprint(os.Stdout)
-			fmt.Println()
-			if *csvDir != "" {
-				if err := writeCSV(name, i, s); err != nil {
-					fmt.Fprintf(os.Stderr, "monobench: csv: %v\n", err)
-					os.Exit(1)
+			s.Fprint(stdout)
+			fmt.Fprintln(stdout)
+			if cfg.csvDir != "" {
+				if err := writeCSV(cfg.csvDir, e.name, i, s); err != nil {
+					fmt.Fprintf(stderr, "monobench: csv: %v\n", err)
+					return 1
 				}
 			}
 		}
-		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-		if err := verify(sections); err != nil {
-			fmt.Fprintf(os.Stderr, "monobench: %s: FAILED: %v\n", name, err)
-			failed = append(failed, name)
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		refuted := false
+		for _, s := range sections {
+			if v, ok := s.(verdict); ok {
+				if err := v.Verify(); err != nil {
+					fmt.Fprintf(stderr, "monobench: %s: FAILED: %v\n", e.name, err)
+					refuted = true
+				}
+			}
+		}
+		if refuted {
+			failed = append(failed, e.name)
 		}
 	}
 	if tc != nil {
-		if err := tc.write(*telemetryOut); err != nil {
-			fmt.Fprintf(os.Stderr, "monobench: telemetry: %v\n", err)
-			os.Exit(1)
+		if err := tc.write(cfg.telemetry); err != nil {
+			fmt.Fprintf(stderr, "monobench: telemetry: %v\n", err)
+			return 1
 		}
-		fmt.Printf("[telemetry: %d run streams written to %s]\n", len(tc.chunks), *telemetryOut)
+		fmt.Fprintf(stdout, "[telemetry: %d run streams written to %s]\n", len(tc.chunks), cfg.telemetry)
 	}
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "monobench: %d of %d experiments failed: %s\n",
+		fmt.Fprintf(stderr, "monobench: %d of %d experiments failed: %s\n",
 			len(failed), len(names), strings.Join(failed, ", "))
-		os.Exit(1)
+		return 1
+	}
+	return 0
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintf(w, "usage: monobench <experiment>... | all\n\nexperiments:\n")
+	for _, e := range experiments {
+		fmt.Fprintf(w, "  %s\n", e.name)
 	}
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: monobench <experiment>... | all\n\nexperiments:\n")
-	names := make([]string, 0, len(experiments))
-	for n := range experiments {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(os.Stderr, "  %s\n", n)
-	}
-}
-
-// experimentContext bounds one experiment by --timeout, when set.
-func experimentContext() (context.Context, context.CancelFunc) {
-	if *timeout > 0 {
-		return context.WithTimeout(context.Background(), *timeout)
+// experimentContext bounds one experiment by timeout, when positive.
+func experimentContext(timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout > 0 {
+		return context.WithTimeout(context.Background(), timeout)
 	}
 	return context.WithCancel(context.Background())
 }
 
-// verify checks every section that carries a verdict and returns the first
-// failure.
-func verify(sections []printer) error {
-	for _, s := range sections {
-		if v, ok := s.(verdict); ok {
-			if err := v.Verify(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// writeCSV stores a section's table, when it has one, under csvDir.
-func writeCSV(name string, idx int, section printer) error {
+// writeCSV stores a section's table, when it has one, under dir.
+func writeCSV(dir, name string, idx int, section printer) error {
 	t, ok := section.(interface{ CSV() *figures.CSVTable })
 	if !ok {
 		return nil
@@ -290,30 +260,10 @@ func writeCSV(name string, idx int, section printer) error {
 	if idx > 0 {
 		fname = fmt.Sprintf("%s-%d.csv", name, idx)
 	}
-	f, err := os.Create(filepath.Join(*csvDir, fname))
+	f, err := os.Create(filepath.Join(dir, fname))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	return t.CSV().Write(f)
-}
-
-// setTimeoutArg parses a trailing --timeout value into the flag.
-func setTimeoutArg(v string) {
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "monobench: bad --timeout value %q\n", v)
-		os.Exit(2)
-	}
-	*timeout = d
-}
-
-// setParallelArg parses a trailing --parallel value into the flag.
-func setParallelArg(v string) {
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "monobench: bad --parallel value %q\n", v)
-		os.Exit(2)
-	}
-	*parallel = n
 }

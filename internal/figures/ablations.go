@@ -20,6 +20,29 @@ import (
 type AblationResult struct {
 	Title string
 	Rows  []AblationRow
+	// claim is the ablation's verdict on the table; nil claims nothing.
+	claim func(*AblationResult) error
+}
+
+// Verify fails unless the table bears out its ablation's claim.
+func (r *AblationResult) Verify() error {
+	if r.claim == nil {
+		return nil
+	}
+	return r.claim(r)
+}
+
+// slower claims, for each pair {i, j}, that row i's configuration runs
+// slower than row j's.
+func slower(pairs ...[2]int) func(*AblationResult) error {
+	return func(r *AblationResult) error {
+		var c claims
+		for _, p := range pairs {
+			a, b := r.Rows[p[0]], r.Rows[p[1]]
+			c.check(a.Seconds > b.Seconds, "%s (%.1f s) not slower than %s (%.1f s)", a.Label, a.Seconds, b.Label, b.Seconds)
+		}
+		return c.verdict(r.Title)
+	}
 }
 
 // AblationRow is one configuration's outcome.
@@ -62,7 +85,8 @@ func AblationPhaseRR(ctx context.Context, setup Setup) (*AblationResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	out := &AblationResult{Title: "Ablation: per-resource queue discipline (§3.3)"}
+	// FIFO starves the reader behind the write backlog.
+	out := &AblationResult{Title: "Ablation: per-resource queue discipline (§3.3)", claim: slower([2]int{1, 0})}
 	for i, fifo := range configs {
 		label, note := "phase round-robin (paper)", ""
 		if fifo {
@@ -127,7 +151,9 @@ func AblationSpareMultitask(ctx context.Context, setup Setup) (*AblationResult, 
 // sit waiting on data from one slow sender; with too many, no multitask's
 // data completes early enough to pipeline with compute.
 func AblationNetLimit(ctx context.Context, setup Setup) (*AblationResult, error) {
-	out := &AblationResult{Title: "Ablation: network scheduler multitask limit (§3.3; one machine degraded to 0.4×)"}
+	// Over-admitting multitasks hurts: 16 outstanding is slower than 4.
+	out := &AblationResult{Title: "Ablation: network scheduler multitask limit (§3.3; one machine degraded to 0.4×)",
+		claim: slower([2]int{4, 2})}
 	limits := []int{1, 2, 4, 8, 16}
 	secs, err := sweep.Run(ctx, setup.Workers, len(limits), func(i int) (float64, error) {
 		specs := make([]cluster.MachineSpec, 15)
@@ -172,7 +198,8 @@ func labelNetLimit(lim int) string {
 // AblationSSDConcurrency sweeps outstanding monotasks per flash drive: the
 // §3.3 finding is that throughput rises to a knee around four.
 func AblationSSDConcurrency(ctx context.Context, setup Setup) (*AblationResult, error) {
-	out := &AblationResult{Title: "Ablation: outstanding monotasks per SSD (§3.3)"}
+	// Throughput rises with concurrency, strictly, up to 4 per SSD.
+	out := &AblationResult{Title: "Ablation: outstanding monotasks per SSD (§3.3)", claim: slower([2]int{0, 1}, [2]int{1, 2})}
 	concs := []int{1, 2, 4, 8}
 	secs, err := sweep.Run(ctx, setup.Workers, len(concs), func(i int) (float64, error) {
 		res, err := execute(ctx, setup, 5, cluster.I2_2XLarge(2),
@@ -210,7 +237,8 @@ func AblationLoadAwareWrites(ctx context.Context, setup Setup) (*AblationResult,
 		NetBW:    units.Gbps(1),
 		MemBytes: 60 * units.GB,
 	}
-	out := &AblationResult{Title: "Ablation: write-disk selection on mixed HDD+SSD machines (§8)"}
+	// Round robin keeps feeding the slow drive; shortest queue wins.
+	out := &AblationResult{Title: "Ablation: write-disk selection on mixed HDD+SSD machines (§8)", claim: slower([2]int{0, 1})}
 	aware := []bool{false, true}
 	secs, err := sweep.Run(ctx, setup.Workers, len(aware), func(i int) (float64, error) {
 		res, err := execute(ctx, setup, 5, spec,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"regexp"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -179,29 +178,22 @@ var failureLostInput = regexp.MustCompile(`every replica of block \d+ of ".*" is
 // machine, and a replicated cell completes, slower than its clean run but by
 // no more than failureMaxOverhead. It names each cell that does not.
 func (r *FailureResult) Verify() error {
-	var bad []string
-	if len(r.Rows) != failureCells {
-		bad = append(bad, fmt.Sprintf("%d cells, want %d", len(r.Rows), failureCells))
-	}
+	var c claims
+	c.check(len(r.Rows) == failureCells, "%d cells, want %d", len(r.Rows), failureCells)
 	for _, row := range r.Rows {
 		cell := fmt.Sprintf("%s %s repl=%d spec=%v", row.System, row.Phase, row.Replication, row.Speculation)
 		switch {
 		case row.Replication == 1:
-			if !failureLostInput.MatchString(row.Outcome) {
-				bad = append(bad, fmt.Sprintf("%s: want an abort on lost input, got %q", cell, row.Outcome))
-			}
+			c.check(failureLostInput.MatchString(row.Outcome), "%s: want an abort on lost input, got %q", cell, row.Outcome)
 		case !row.Completed():
-			bad = append(bad, fmt.Sprintf("%s: want completed, got %q", cell, row.Outcome))
+			c = append(c, fmt.Sprintf("%s: want completed, got %q", cell, row.Outcome))
 		case row.WithFailure <= row.Clean:
-			bad = append(bad, fmt.Sprintf("%s: failure run (%.1f s) not slower than clean (%.1f s)", cell, float64(row.WithFailure), float64(row.Clean)))
-		case row.Overhead() > failureMaxOverhead:
-			bad = append(bad, fmt.Sprintf("%s: overhead %.0f%% above %.0f%%", cell, row.Overhead()*100, failureMaxOverhead*100.0))
+			c = append(c, fmt.Sprintf("%s: failure run (%.1f s) not slower than clean (%.1f s)", cell, float64(row.WithFailure), float64(row.Clean)))
+		default:
+			c.check(row.Overhead() <= failureMaxOverhead, "%s: overhead %.0f%% above %.0f%%", cell, row.Overhead()*100, failureMaxOverhead*100.0)
 		}
 	}
-	if len(bad) > 0 {
-		return fmt.Errorf("failure: verdict failed: %s", strings.Join(bad, "; "))
-	}
-	return nil
+	return c.verdict("failure")
 }
 
 // Fprint renders the matrix.

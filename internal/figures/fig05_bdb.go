@@ -116,6 +116,56 @@ func (r *Fig05Result) Fprint(w io.Writer) {
 	}
 }
 
+// Verify fails unless MonoSpark's runtime over Spark's lies in [0.70, 1.10]
+// on every query but q1c, the buffer-cache outlier, which may reach 1.60
+// (Fig. 5).
+func (r *Fig05Result) Verify() error {
+	var c claims
+	for _, row := range r.Rows {
+		hi := 1.10
+		if row.Query == "1c" {
+			hi = 1.60
+		}
+		v := row.MonoVsSpark()
+		c.check(v >= 0.70 && v <= hi, "q%s mono/spark %.3f outside [0.70, %.2f]", row.Query, v, hi)
+	}
+	return c.verdict("fig5")
+}
+
+// VerifyFig6 fails unless, in every stage whose bottleneck under Spark is
+// the CPU, MonoSpark's median CPU utilization is at least Spark's (Fig. 6).
+// A MonoSpark stage whose two busiest resources leave out the CPU fails.
+func (r *Fig05Result) VerifyFig6() error {
+	var c claims
+	for _, q := range workloads.BDBQueryNames() {
+		for _, spark := range r.Util[q] {
+			if spark.System != run.Spark.String() || spark.Bottleneck != metrics.CPU {
+				continue
+			}
+			mono := -1.0
+			for _, u := range r.Util[q] {
+				if u.System == run.Monotasks.String() && u.Stage == spark.Stage {
+					mono = u.median(metrics.CPU)
+				}
+			}
+			c.check(mono >= spark.Box.P50, "%s: monospark cpu median %.2f below spark's %.2f", spark.Stage, mono, spark.Box.P50)
+		}
+	}
+	return c.verdict("fig6")
+}
+
+// median is the stage's median utilization of r, or -1 when r is neither
+// of its two busiest resources.
+func (u StageUtilRow) median(r metrics.ResourceName) float64 {
+	switch r {
+	case u.Bottleneck:
+		return u.Box.P50
+	case u.Second:
+		return u.SecondBox.P50
+	}
+	return -1
+}
+
 // FprintFig6 renders the stage-utilization boxes for the same runs.
 func (r *Fig05Result) FprintFig6(w io.Writer) {
 	fprintf(w, "Figure 6: two most utilized resources per stage (p5/p25/p50/p75/p95)\n")

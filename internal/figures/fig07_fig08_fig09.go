@@ -59,6 +59,14 @@ func (r *Fig07Result) MaxRatio() float64 {
 	return worst
 }
 
+// Verify fails unless every stage runs within 1.3× of Spark: on par, within
+// Known deviation 4's margin (Fig. 7).
+func (r *Fig07Result) Verify() error {
+	var c claims
+	c.check(r.MaxRatio() <= 1.3, "worst stage mono/spark %.3f above 1.3", r.MaxRatio())
+	return c.verdict("fig7")
+}
+
 // Fprint renders the per-stage table.
 func (r *Fig07Result) Fprint(w io.Writer) {
 	fprintf(w, "Figure 7: least squares (matrix multiply) per stage, 15 workers × (8 cores, 2 SSD)\n")
@@ -76,6 +84,9 @@ type Fig08Row struct {
 	Spark sim.Duration
 	Mono  sim.Duration
 }
+
+// MonoVsSpark is MonoSpark's runtime relative to Spark's.
+func (r Fig08Row) MonoVsSpark() float64 { return float64(r.Mono) / float64(r.Spark) }
 
 // Fig08Result is the Fig. 8 sweep: runtime versus number of tasks for a job
 // that reads input and computes on it, on 20 workers (160 cores).
@@ -119,8 +130,20 @@ func (r *Fig08Result) Fprint(w io.Writer) {
 	fprintf(w, "%8s %7s %10s %10s %12s\n", "tasks", "waves", "spark(s)", "mono(s)", "mono/spark")
 	for _, row := range r.Rows {
 		fprintf(w, "%8d %7.1f %10.1f %10.1f %12.2f\n", row.Tasks, row.Waves,
-			float64(row.Spark), float64(row.Mono), float64(row.Mono)/float64(row.Spark))
+			float64(row.Spark), float64(row.Mono), row.MonoVsSpark())
 	}
+}
+
+// Verify fails unless MonoSpark's runtime relative to Spark's falls
+// strictly with every added wave (Fig. 8).
+func (r *Fig08Result) Verify() error {
+	var c claims
+	for i := 1; i < len(r.Rows); i++ {
+		prev, cur := r.Rows[i-1], r.Rows[i]
+		c.check(cur.MonoVsSpark() < prev.MonoVsSpark(), "mono/spark %.3f at %.0f waves not below %.3f at %.0f",
+			cur.MonoVsSpark(), cur.Waves, prev.MonoVsSpark(), prev.Waves)
+	}
+	return c.verdict("fig8")
 }
 
 // Fig09Result compares utilization during the q2c map stage (Fig. 9): the
@@ -173,6 +196,15 @@ func Fig09(ctx context.Context, setup Setup) (*Fig09Result, error) {
 		SparkCPU: cells[0].cpu, SparkDisk: cells[0].disk, SparkSeries: cells[0].series,
 		MonoCPU: cells[1].cpu, MonoDisk: cells[1].disk, MonoSeries: cells[1].series,
 	}, nil
+}
+
+// Verify fails unless MonoSpark keeps the CPU at least 0.85 busy on average
+// (the paper: above 0.92), and busier than Spark does (Fig. 9).
+func (r *Fig09Result) Verify() error {
+	var c claims
+	c.check(r.MonoCPU >= 0.85, "monospark mean cpu %.3f below 0.85", r.MonoCPU)
+	c.check(r.MonoCPU > r.SparkCPU, "monospark mean cpu %.3f not above spark's %.3f", r.MonoCPU, r.SparkCPU)
+	return c.verdict("fig9")
 }
 
 // Fprint renders the summary and series.

@@ -27,6 +27,48 @@ func (r PredictRow) ErrPct() float64 { return pctErr(r.Predicted, r.Actual) }
 type PredictResult struct {
 	Title string
 	Rows  []PredictRow
+	// claim is the experiment's verdict on the table; nil claims nothing.
+	claim func(*PredictResult) error
+}
+
+// Verify fails unless the table bears out its experiment's claim.
+func (r *PredictResult) Verify() error {
+	if r.claim == nil {
+		return nil
+	}
+	return r.claim(r)
+}
+
+// fig11Claim: the model rightly predicts no change, to the last bit, for the
+// CPU-bound 10-value sort, and no prediction errs by more than 12%, Known
+// deviation 3's 11.6% rounded up.
+func fig11Claim(r *PredictResult) error {
+	var c claims
+	row := r.Rows[0]
+	c.check(row.Predicted == row.Baseline, "%s: predicted %v s, want its baseline %v s", row.Label, row.Predicted, row.Baseline)
+	c.check(r.MaxAbsErrPct() <= 12, "max |error| %.2f%% above 12%%", r.MaxAbsErrPct())
+	return c.verdict("fig11")
+}
+
+// sec63Claim: in-memory input is faster, and the model predicts it within
+// the paper's 4%.
+func sec63Claim(r *PredictResult) error {
+	var c claims
+	row := r.Rows[0]
+	c.check(row.Actual < row.Baseline, "in-memory run %.1f s not faster than on-disk %.1f s", row.Actual, row.Baseline)
+	c.check(r.MaxAbsErrPct() <= 4, "max |error| %.2f%% above 4%%", r.MaxAbsErrPct())
+	return c.verdict("sec63")
+}
+
+// fig13Claim: every prediction is within the paper's 23% and over-predicts
+// the improvement, since the bigger cluster reads less shuffle data locally.
+func fig13Claim(r *PredictResult) error {
+	var c claims
+	c.check(r.MaxAbsErrPct() <= 23, "max |error| %.2f%% above 23%%", r.MaxAbsErrPct())
+	for _, row := range r.Rows {
+		c.check(row.Predicted < row.Actual, "%s: predicted %.1f s, not below actual %.1f s", row.Label, row.Predicted, row.Actual)
+	}
+	return c.verdict("fig13")
 }
 
 // MaxAbsErrPct is the worst absolute prediction error in the table.
@@ -59,7 +101,7 @@ func (r *PredictResult) Fprint(w io.Writer) {
 // workload at three value sizes: run on 20×1-SSD, predict 20×2-SSD from
 // monotask times, then actually run 20×2-SSD.
 func Fig11(ctx context.Context, setup Setup) (*PredictResult, error) {
-	out := &PredictResult{Title: "Figure 11: predict 2× SSDs (sort 600 GB, 20 workers × 1 SSD → 2 SSD)"}
+	out := &PredictResult{Title: "Figure 11: predict 2× SSDs (sort 600 GB, 20 workers × 1 SSD → 2 SSD)", claim: fig11Claim}
 	valueCounts := []int{10, 20, 50}
 	// Grid: values × {1-SSD baseline, 2-SSD target}. The prediction is derived
 	// from the returned baseline run after the sweep.
@@ -87,7 +129,7 @@ func Fig11(ctx context.Context, setup Setup) (*PredictResult, error) {
 // Sec63 predicts storing input deserialized in memory (§6.3): the model
 // removes input-read disk time and the deserialization share of compute.
 func Sec63(ctx context.Context, setup Setup) (*PredictResult, error) {
-	out := &PredictResult{Title: "§6.3: predict in-memory deserialized input (sort, 20 workers × 2 HDD)"}
+	out := &PredictResult{Title: "§6.3: predict in-memory deserialized input (sort, 20 workers × 2 HDD)", claim: sec63Claim}
 	sortDisk := workloads.Sort{Name: "sort-disk", TotalBytes: 40 * units.GB, ValuesPerKey: 10}
 	sortMem := workloads.Sort{Name: "sort-mem", TotalBytes: 40 * units.GB, ValuesPerKey: 10, InMemoryInput: true}
 	builders := []Builder{sortDisk.Build, sortMem.Build}
@@ -113,7 +155,7 @@ func Sec63(ctx context.Context, setup Setup) (*PredictResult, error) {
 // with HDDs and on-disk input → 20 machines with SSDs and in-memory
 // deserialized input — a ~10× runtime change (Fig. 13).
 func Fig13(ctx context.Context, setup Setup) (*PredictResult, error) {
-	out := &PredictResult{Title: "Figure 13: predict 5×2-HDD on-disk → 20×2-SSD in-memory (sort 100 GB)"}
+	out := &PredictResult{Title: "Figure 13: predict 5×2-HDD on-disk → 20×2-SSD in-memory (sort 100 GB)", claim: fig13Claim}
 	valueCounts := []int{10, 20, 50}
 	results, err := sweep.Run(ctx, setup.Workers, len(valueCounts)*2, func(i int) (*RunResult, error) {
 		values := valueCounts[i/2]

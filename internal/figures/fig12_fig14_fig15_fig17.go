@@ -3,6 +3,7 @@ package figures
 import (
 	"context"
 	"io"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -116,6 +117,47 @@ func (r *Fig12Result) Fprint(w io.Writer) {
 	}
 }
 
+// Verify fails unless the monotasks model predicts every query but q3c
+// within 14%, and q3c over-predicts by at most the paper's 28% (Fig. 12).
+func (r *Fig12Result) Verify() error {
+	var c claims
+	for _, row := range r.Rows {
+		e := pctErr(row.MonoPredicted, row.MonoActual)
+		if row.Query == "3c" {
+			c.check(e > 0 && e <= 28, "q3c error %+.2f%% outside (0, 28]", e)
+		} else {
+			c.check(math.Abs(e) <= 14, "q%s |error| %.2f%% above 14%%", row.Query, math.Abs(e))
+		}
+	}
+	return c.verdict("fig12")
+}
+
+// VerifyFig15 fails unless the slot model errs more on average than the
+// monotasks model does on the same change (Fig. 15).
+func (r *Fig12Result) VerifyFig15() error {
+	return r.worseThanMono("fig15", func(row Fig12Row) float64 { return row.SlotPredicted })
+}
+
+// VerifyFig17 fails unless the measured-utilization model errs more on
+// average than the monotasks model does on the same change (Fig. 17).
+func (r *Fig12Result) VerifyFig17() error {
+	return r.worseThanMono("fig17", func(row Fig12Row) float64 { return row.UtilPredicted })
+}
+
+// worseThanMono compares a Spark-side model's mean |error| against Spark's
+// measured runtime with the monotasks model's against MonoSpark's.
+func (r *Fig12Result) worseThanMono(experiment string, predicted func(Fig12Row) float64) error {
+	var spark, mono float64
+	for _, row := range r.Rows {
+		spark += math.Abs(pctErr(predicted(row), row.SparkActual))
+		mono += math.Abs(pctErr(row.MonoPredicted, row.MonoActual))
+	}
+	n := float64(len(r.Rows))
+	var c claims
+	c.check(spark > mono, "mean |error| %.2f%% not above the monotasks model's %.2f%%", spark/n, mono/n)
+	return c.verdict(experiment)
+}
+
 // FprintFig15 renders the slot-model view of the same change.
 func (r *Fig12Result) FprintFig15(w io.Writer) {
 	fprintf(w, "Figure 15: slot-based Spark model for 2 HDD → 1 HDD (slots unchanged ⇒ no change predicted)\n")
@@ -199,6 +241,26 @@ func Fig14(ctx context.Context, setup Setup) (*Fig14Result, error) {
 		return nil, err
 	}
 	return &Fig14Result{Rows: rows}, nil
+}
+
+// Verify fails unless Fig. 14 reproduces NSDI '15's findings as the
+// monotasks model states them: removing a resource never predicts a slower
+// job (no fraction above 1), removing the network changes no query by more
+// than 1%, and the CPU is the bottleneck for at least half the queries.
+func (r *Fig14Result) Verify() error {
+	var c claims
+	cpuBound := 0
+	for _, row := range r.Rows {
+		for _, frac := range []float64{row.NoDiskFrac, row.NoNetFrac, row.NoCPUFrac} {
+			c.check(frac <= 1, "q%s: removing a resource predicted %v > 1", row.Query, frac)
+		}
+		c.check(row.NoNetFrac >= 0.99, "q%s: removing the network predicted %.3f < 0.99", row.Query, row.NoNetFrac)
+		if row.Bottleneck == task.CPUResource {
+			cpuBound++
+		}
+	}
+	c.check(2*cpuBound >= len(r.Rows), "only %d of %d queries CPU-bound", cpuBound, len(r.Rows))
+	return c.verdict("fig14")
 }
 
 // Fprint renders the analysis.

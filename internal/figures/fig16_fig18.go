@@ -127,6 +127,20 @@ func Fig16(ctx context.Context, setup Setup) (*Fig16Result, error) {
 	return out, nil
 }
 
+// Verify fails unless monotask metrics attribute the concurrent jobs'
+// usage within 1% at the median and p75, while Spark's slot shares err by
+// at least 5% at the median (the paper: 17%), and more than MonoSpark's
+// (Fig. 16).
+func (r *Fig16Result) Verify() error {
+	sparkMed, _ := MedianAndP75(r.SparkErrors)
+	monoMed, monoP75 := MedianAndP75(r.MonoErrors)
+	var c claims
+	c.check(monoMed <= 1 && monoP75 <= 1, "monospark error %.2f%% median / %.2f%% p75 above 1%%", monoMed, monoP75)
+	c.check(sparkMed >= 5, "spark median error %.2f%% below 5%%", sparkMed)
+	c.check(sparkMed > monoMed, "spark median error %.2f%% not above monospark's %.2f%%", sparkMed, monoMed)
+	return c.verdict("fig16")
+}
+
 // Fprint renders the error summary.
 func (r *Fig16Result) Fprint(w io.Writer) {
 	sm, sp := MedianAndP75(r.SparkErrors)
@@ -208,6 +222,17 @@ func labelValues18(values int) string {
 	default:
 		return "sort-100v"
 	}
+}
+
+// Verify fails unless MonoSpark, with no knob to set, runs every workload
+// within 1.07× of the best Spark configuration (Fig. 18).
+func (r *Fig18Result) Verify() error {
+	var c claims
+	for _, row := range r.Rows {
+		v := float64(row.Mono) / float64(row.BestSpark)
+		c.check(v <= 1.07, "%s: mono/best %.4f above 1.07", row.Workload, v)
+	}
+	return c.verdict("fig18")
 }
 
 // Fprint renders the sweep.

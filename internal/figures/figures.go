@@ -1,15 +1,16 @@
 // Package figures regenerates every table and figure in the paper's
 // evaluation (§5–§7). Each FigNN function runs the corresponding experiment
 // on the virtual cluster and returns a result that prints the same rows or
-// series the paper reports. The cmd/monobench binary and bench_test.go are
-// thin wrappers over these functions; EXPERIMENTS.md records paper-vs-
-// measured for each.
+// series the paper reports, and whose Verify states the paper's claim at the
+// tolerance EXPERIMENTS.md gives. The cmd/monobench binary is a thin wrapper
+// over these functions; EXPERIMENTS.md records paper-vs-measured for each.
 package figures
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/run"
@@ -98,6 +99,25 @@ func pctErr(predicted, actual float64) float64 {
 		return 0
 	}
 	return (predicted - actual) / actual * 100
+}
+
+// claims collects the claims a result fails, for its Verify.
+type claims []string
+
+// check records the failed claim format describes unless ok.
+func (c *claims) check(ok bool, format string, args ...any) {
+	if !ok {
+		*c = append(*c, fmt.Sprintf(format, args...))
+	}
+}
+
+// verdict is nil when every claim held, or one error naming the
+// experiment and each claim that failed.
+func (c claims) verdict(experiment string) error {
+	if len(c) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s: verdict failed: %s", experiment, strings.Join(c, "; "))
 }
 
 // fprintf panics on write errors: figures print to stdout or a buffer, where

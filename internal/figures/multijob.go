@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/jobsched"
@@ -343,22 +342,15 @@ const (
 // finished, each pool received its weighted share of slots, and monotask
 // metrics attributed the concurrent jobs' usage exactly.
 func (r *MultijobResult) Verify() error {
-	var bad []string
-	if r.BatchFinished != r.BatchJobs {
-		bad = append(bad, fmt.Sprintf("%d of %d batch jobs finished", r.BatchFinished, r.BatchJobs))
-	}
+	var c claims
+	c.check(r.BatchFinished == r.BatchJobs, "%d of %d batch jobs finished", r.BatchFinished, r.BatchJobs)
 	for _, s := range r.Shares {
-		if math.Abs(s.GotShare-s.WantShare) > multijobShareSlack {
-			bad = append(bad, fmt.Sprintf("pool %s got share %.2f, want %.2f±%.2f", s.Pool, s.GotShare, s.WantShare, multijobShareSlack))
-		}
+		c.check(math.Abs(s.GotShare-s.WantShare) <= multijobShareSlack,
+			"pool %s got share %.2f, want %.2f±%.2f", s.Pool, s.GotShare, s.WantShare, multijobShareSlack)
 	}
-	if _, p75 := MedianAndP75(r.MonoErrors); p75 > multijobMonoErrPct {
-		bad = append(bad, fmt.Sprintf("mono attribution error p75 %.3f%% exceeds %.2f%%", p75, multijobMonoErrPct))
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("multijob: verdict failed: %s", strings.Join(bad, "; "))
-	}
-	return nil
+	_, p75 := MedianAndP75(r.MonoErrors)
+	c.check(p75 <= multijobMonoErrPct, "mono attribution error p75 %.3f%% exceeds %.2f%%", p75, multijobMonoErrPct)
+	return c.verdict("multijob")
 }
 
 // Fprint renders the experiment's three tables.

@@ -11,7 +11,8 @@ import (
 // allocations per stage. Growth past a window (a retried task re-entering
 // pending, a speculative second attempt) falls back to a normal append-copy,
 // so the windows are a fast path, not a limit. The bool slab also holds the
-// queued flags, and the int slab also holds every stage's children.
+// queued flags, and the int slab also holds the failure counts and every
+// stage's children.
 func (d *Driver) instantiate(h *JobHandle) {
 	spec := h.Spec
 	n := len(spec.Stages)
@@ -25,8 +26,8 @@ func (d *Driver) instantiate(h *JobHandle) {
 		total += ss.NumTasks
 		edges += len(ss.ParentIDs)
 	}
-	intSlab := make([]int, total+edges)
-	pendingSlab, childSlab := intSlab[:total], intSlab[total:]
+	intSlab := make([]int, 2*total+edges)
+	pendingSlab, failSlab, childSlab := intSlab[:total], intSlab[total:2*total], intSlab[2*total:]
 	// Count each stage's children in the length of its children slice
 	// (childSlab holds every edge, so no count outgrows it); the loop below
 	// carves each stage's window at that length and fills it.
@@ -38,7 +39,6 @@ func (d *Driver) instantiate(h *JobHandle) {
 	}
 	boolSlab := make([]bool, 2*total)
 	doneSlab, queuedSlab := boolSlab[:total], boolSlab[total:]
-	failSlab := make([]int, total)
 	durSlab := make([]float64, total)
 	tmSlab := make([]*task.TaskMetrics, total)
 	attSlots := make([][]*attempt, total)
