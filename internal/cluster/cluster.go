@@ -18,10 +18,18 @@ import (
 // the straggler/heterogeneity knob: a machine with SpeedFactor 0.5 is a
 // uniformly degraded node.
 type MachineSpec struct {
-	Cores       int
-	Disks       []resource.DiskSpec
-	NetBW       float64 // bytes/second, full duplex
-	MemBytes    int64
+	// Cores is the number of CPU cores.
+	Cores int
+	// Disks lists the machine's drives, one spec each; a diskless machine
+	// has none.
+	Disks []resource.DiskSpec
+	// NetBW is the NIC's rate in bytes/second, full duplex.
+	NetBW float64
+	// MemBytes is the memory the machine's tasks may charge (MemAlloc
+	// records the high-water mark against it).
+	MemBytes int64
+	// SpeedFactor scales the CPU rate, disk bandwidths and link bandwidth
+	// together; zero or negative means 1.
 	SpeedFactor float64
 
 	// Mem enables the fourth-resource memory model (bandwidth ceiling,
@@ -121,11 +129,16 @@ func FatNode() MachineSpec {
 
 // Machine is one assembled worker.
 type Machine struct {
-	ID    int
-	Spec  MachineSpec
-	CPU   *resource.CPU
+	// ID is the machine's index in its cluster and its fabric.
+	ID int
+	// Spec is the specification the machine was built from.
+	Spec MachineSpec
+	// CPU is the machine's processor, scaled by Spec's speed factor.
+	CPU *resource.CPU
+	// Disks holds one drive per Spec.Disks entry, in the same order.
 	Disks []*resource.Disk
-	NIC   *netsim.NIC
+	// NIC is the machine's interface on the cluster's fabric.
+	NIC *netsim.NIC
 
 	// Memory is the fourth-resource model; nil on machines whose spec left
 	// it disabled (the default), so every consumer must gate on nil.
@@ -133,7 +146,33 @@ type Machine struct {
 
 	memInUse int64
 	memPeak  int64
+
+	timelinesStopped bool
 }
+
+// stopTimelines stops every timeline of m's devices (see
+// Cluster.StopTimelines).
+func (m *Machine) stopTimelines() {
+	m.CPU.Util.Stop()
+	for _, d := range m.Disks {
+		d.Util.Stop()
+		d.ReadCum.Stop()
+		d.WriteCum.Stop()
+	}
+	m.NIC.UtilOut.Stop()
+	m.NIC.UtilIn.Stop()
+	m.NIC.BytesInCum.Stop()
+	if m.Memory != nil {
+		m.Memory.Util.Stop()
+		m.Memory.TrafficCum.Stop()
+	}
+	m.timelinesStopped = true
+}
+
+// TimelinesStopped reports whether the machine's timelines are stopped
+// (Cluster.StopTimelines); executors built on it then record none of their
+// own either.
+func (m *Machine) TimelinesStopped() bool { return m.timelinesStopped }
 
 // MemAlloc charges bytes of memory. It never fails — the paper's MonoSpark
 // does not regulate memory either (§3.5) — but the high-water mark is
@@ -171,10 +210,13 @@ func (m *Machine) AggDiskBW() float64 {
 // Cluster is a set of identical machines over a full-bisection fabric and a
 // single simulation engine.
 type Cluster struct {
-	Engine   *sim.Engine
+	// Engine is the one simulation engine every device schedules against.
+	Engine *sim.Engine
+	// Machines holds the workers, indexed by machine ID.
 	Machines []*Machine
-	Fabric   *netsim.Fabric
-	spec     MachineSpec
+	// Fabric is the full-bisection network joining the machines' NICs.
+	Fabric *netsim.Fabric
+	spec   MachineSpec
 }
 
 // New builds a cluster of n machines with the given spec.
@@ -258,6 +300,22 @@ func (c *Cluster) SetMachineSpeed(m int, factor float64) {
 	}
 	c.Fabric.SetLinkSpeed(m, factor)
 }
+
+// StopTimelines stops every timeline recorded for c's machines: the
+// utilization of CPUs, disks, memory and both NIC directions, the disk, NIC
+// and memory byte counters, and the queue lengths of the monotasks workers
+// built on them afterwards. Readers then see empty timelines. Simulated
+// behaviour does not change, and neither do the metric records the §6 model
+// reads; only the timelines are not kept. A run that samples them
+// (run.Options.Telemetry) refuses a stopped cluster.
+func (c *Cluster) StopTimelines() {
+	for _, m := range c.Machines {
+		m.stopTimelines()
+	}
+}
+
+// TimelinesStopped reports whether StopTimelines was called.
+func (c *Cluster) TimelinesStopped() bool { return c.Machines[0].timelinesStopped }
 
 // Spec returns the per-machine specification.
 func (c *Cluster) Spec() MachineSpec { return c.spec }

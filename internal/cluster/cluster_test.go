@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/resource"
@@ -106,5 +107,45 @@ func TestDevicesShareOneEngine(t *testing.T) {
 	if !cpuDone || !diskDone || !netDone {
 		t.Fatalf("cpu=%v disk=%v net=%v; all devices must run on the shared engine",
 			cpuDone, diskDone, netDone)
+	}
+}
+
+// TestStopTimelines drives every device of a memory-model cluster after
+// StopTimelines and checks that none of its timelines recorded a point,
+// while the devices' own byte counters still count.
+func TestStopTimelines(t *testing.T) {
+	c := MustNew(2, FatNode())
+	if c.TimelinesStopped() {
+		t.Fatal("a new cluster reports stopped timelines")
+	}
+	c.StopTimelines()
+	if !c.TimelinesStopped() || !c.Machines[1].TimelinesStopped() {
+		t.Fatal("StopTimelines left the cluster or a machine recording")
+	}
+	m := c.Machines[0]
+	m.CPU.Run(1, func() {})
+	m.Disks[0].Read(100e6, func() {})
+	m.Disks[1].Write(100e6, func() {})
+	m.Memory.Stream(1e9, 0, func() {})
+	c.Fabric.Transfer(0, 1, 1e6, func() {})
+	c.Engine.Run()
+	if m.Disks[0].BytesRead() != 100e6 || m.Disks[1].BytesWritten() != 100e6 {
+		t.Fatalf("disk counters read %d and wrote %d bytes, want 1e8 each", m.Disks[0].BytesRead(), m.Disks[1].BytesWritten())
+	}
+	for i, m := range c.Machines {
+		timelines := map[string]*resource.Tracker{
+			"cpu": &m.CPU.Util, "nic out": &m.NIC.UtilOut, "nic in": &m.NIC.UtilIn,
+			"nic bytes in": &m.NIC.BytesInCum, "memory": &m.Memory.Util, "memory bytes": &m.Memory.TrafficCum,
+		}
+		for j, d := range m.Disks {
+			timelines[fmt.Sprint("disk ", j)] = &d.Util
+			timelines[fmt.Sprint("disk ", j, " bytes read")] = &d.ReadCum
+			timelines[fmt.Sprint("disk ", j, " bytes written")] = &d.WriteCum
+		}
+		for name, tr := range timelines {
+			if n := tr.Len(); n != 0 {
+				t.Errorf("machine %d: stopped %s timeline holds %d points", i, name, n)
+			}
+		}
 	}
 }

@@ -84,7 +84,10 @@ type Worker struct {
 }
 
 // NewWorker builds the runtime for one machine. Peers must be wired (via
-// Group or SetPeers) before any task with remote fetches is launched.
+// Group or SetPeers) before any task with remote fetches is launched. The
+// worker starts from a retired worker's free lists when the pool holds a
+// set (Group.Retire), and records no queue-length timelines on a machine
+// whose timelines are stopped (cluster.StopTimelines).
 func NewWorker(m *cluster.Machine, fabric *netsim.Fabric, eng *sim.Engine, opts Options) *Worker {
 	opts = opts.withDefaults()
 	w := &Worker{machine: m, eng: eng, fabric: fabric, opts: opts,
@@ -94,6 +97,16 @@ func NewWorker(m *cluster.Machine, fabric *netsim.Fabric, eng *sim.Engine, opts 
 		w.disks = append(w.disks, newDiskScheduler(w, d, opts.SSDConcurrency))
 	}
 	w.network = newNetworkScheduler(w, opts.NetMultitaskLimit)
+	if m.TimelinesStopped() {
+		w.compute.QueueLen.Stop()
+		for _, ds := range w.disks {
+			ds.QueueLen.Stop()
+		}
+		w.network.QueueLen.Stop()
+	}
+	if fl, ok := retired.Get().(*freeLists); ok {
+		w.adopt(fl)
+	}
 	return w
 }
 
@@ -283,6 +296,7 @@ func (w *Worker) QueueTimelines() map[string]*resource.Tracker {
 
 // Group wires one Worker per cluster machine.
 type Group struct {
+	// Workers holds one worker per machine, indexed by machine ID.
 	Workers []*Worker
 }
 

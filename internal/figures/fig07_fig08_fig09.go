@@ -24,6 +24,22 @@ type Fig07Row struct {
 // Fig07Result compares the machine-learning workload per stage (Fig. 7).
 type Fig07Result struct {
 	Rows []Fig07Row
+	// SparkJob and MonoJob are the whole job's duration under each system.
+	SparkJob, MonoJob sim.Duration
+}
+
+// Fig07FromJobs builds the comparison from the job's metrics under each
+// system.
+func Fig07FromJobs(spark, mono *task.JobMetrics) *Fig07Result {
+	out := &Fig07Result{SparkJob: spark.Duration(), MonoJob: mono.Duration()}
+	for i, st := range spark.Stages {
+		out.Rows = append(out.Rows, Fig07Row{
+			Stage: st.Spec.Name,
+			Spark: st.Duration(),
+			Mono:  mono.Stages[i].Duration(),
+		})
+	}
+	return out
 }
 
 // Fig07 runs the least-squares workload on 15 two-SSD workers, both modes
@@ -37,15 +53,7 @@ func Fig07(ctx context.Context, setup Setup) (*Fig07Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig07Result{}
-	for i, st := range results[0].Jobs[0].Stages {
-		out.Rows = append(out.Rows, Fig07Row{
-			Stage: st.Spec.Name,
-			Spark: st.Duration(),
-			Mono:  results[1].Jobs[0].Stages[i].Duration(),
-		})
-	}
-	return out, nil
+	return Fig07FromJobs(results[0].Jobs[0], results[1].Jobs[0]), nil
 }
 
 // MaxRatio is the worst per-stage MonoSpark-to-Spark ratio.
@@ -59,11 +67,16 @@ func (r *Fig07Result) MaxRatio() float64 {
 	return worst
 }
 
-// Verify fails unless every stage runs within 1.3× of Spark: on par, within
-// Known deviation 4's margin (Fig. 7).
+// JobRatio is the whole job's MonoSpark-to-Spark ratio.
+func (r *Fig07Result) JobRatio() float64 { return float64(r.MonoJob) / float64(r.SparkJob) }
+
+// Verify fails unless every stage runs within 1.3× of Spark and the whole
+// job's ratio lies in [0.7, 1.3]: on par, within Known deviation 4's margin
+// (Fig. 7).
 func (r *Fig07Result) Verify() error {
 	var c claims
 	c.check(r.MaxRatio() <= 1.3, "worst stage mono/spark %.3f above 1.3", r.MaxRatio())
+	c.check(r.JobRatio() >= 0.7 && r.JobRatio() <= 1.3, "job mono/spark %.3f outside [0.7, 1.3]", r.JobRatio())
 	return c.verdict("fig7")
 }
 

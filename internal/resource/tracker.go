@@ -12,6 +12,7 @@
 package resource
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -62,18 +63,21 @@ type Tracker struct {
 //
 // Set is small enough for the compiler to inline into every device's
 // update: a new chunk is allocated in place rather than by a call, because
-// any call would use most of the inliner's budget.
+// any call would use most of the inliner's budget. For the same reason a
+// stopped tracker needs no check here (see Stop).
 func (tr *Tracker) Set(t sim.Time, v float64) {
 	c := tr.cur
 	if len(c) > 0 {
-		if p := &c[len(c)-1]; t <= p.t {
+		if p := &c[len(c)-1]; t > p.t {
+			if v == p.v {
+				// Coalesce no-op transitions to keep the series compact.
+				return
+			}
+		} else {
 			if t < p.t {
 				panic("resource: Tracker.Set with decreasing time")
 			}
 			p.v = v
-			return
-		} else if v == p.v {
-			// Coalesce no-op transitions to keep the series compact.
 			return
 		}
 	}
@@ -82,6 +86,20 @@ func (tr *Tracker) Set(t sim.Time, v float64) {
 		tr.chunks = append(tr.chunks, c)
 	}
 	tr.cur = append(c, point{t, v})
+}
+
+// Stop discards the timeline and makes every later Set a no-op, so readers
+// see an empty timeline (value 0 throughout). A run whose answer reads only
+// its metric records stops its devices' timelines (cluster.StopTimelines)
+// and skips their allocation.
+//
+// A stopped tracker's cur is one point outside every chunk whose time is
+// NaN. No time compares greater than NaN, and none less, so Set takes its
+// same-instant branch and overwrites that point's value, with no check of
+// its own; Len still counts 0 points, since no chunk exists.
+func (tr *Tracker) Stop() {
+	tr.chunks = nil
+	tr.cur = []point{{t: sim.Time(math.NaN())}}
 }
 
 // locate returns the chunk holding point i and i's offset in it.

@@ -559,3 +559,39 @@ func TestTrackerGrowthCopiesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestStoppedTrackerRecordsNothing: Stop discards what a tracker recorded,
+// and afterwards Set, in any time order, allocates and records nothing, so
+// every reader sees an empty timeline.
+func TestStoppedTrackerRecordsNothing(t *testing.T) {
+	var tr Tracker
+	for j := 0; j < 40; j++ {
+		tr.Set(sim.Time(j), float64(j%3))
+	}
+	tr.Stop()
+	allocs := testing.AllocsPerRun(100, func() {
+		for j := 0; j < 40; j++ {
+			tr.Set(sim.Time(100-j), float64(j))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Set on a stopped tracker allocated %v times per 40 calls", allocs)
+	}
+	if n := tr.Len(); n != 0 {
+		t.Errorf("stopped tracker holds %d points", n)
+	}
+	if v := tr.At(50); v != 0 {
+		t.Errorf("At(50) = %v, want 0", v)
+	}
+	if d := tr.Delta(0, 200); d != 0 {
+		t.Errorf("Delta(0, 200) = %v, want 0", d)
+	}
+	if m := tr.Mean(0, 200); m != 0 {
+		t.Errorf("Mean(0, 200) = %v, want 0", m)
+	}
+	for i, v := range tr.Samples(0, 200, 8) {
+		if v != 0 {
+			t.Errorf("sample %d = %v, want 0", i, v)
+		}
+	}
+}

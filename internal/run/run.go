@@ -4,6 +4,7 @@ package run
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -163,6 +164,10 @@ func Drain(ctx context.Context, c *cluster.Cluster, d *jobsched.Driver, o Option
 	return ms, aerr
 }
 
+// errTelemetryStopped refuses a telemetry sampler on a cluster whose
+// timelines are stopped: every snapshot would read empty timelines.
+var errTelemetryStopped = errors.New("run: Options.Telemetry needs the cluster's timelines, which are stopped")
+
 // startTelemetry attaches a sampler per Options, returning a finish hook.
 func (o Options) startTelemetry(c *cluster.Cluster, d *jobsched.Driver) func() {
 	if o.Telemetry == nil {
@@ -179,6 +184,13 @@ func (o Options) startTelemetry(c *cluster.Cluster, d *jobsched.Driver) func() {
 
 // Executors builds one executor per machine of c in the requested mode.
 func Executors(c *cluster.Cluster, o Options) []task.Executor {
+	execs, _ := executors(c, o)
+	return execs
+}
+
+// executors is Executors that also returns the monotasks workers it built
+// (nil in the Spark modes), for a caller that retires them after its run.
+func executors(c *cluster.Cluster, o Options) ([]task.Executor, *core.Group) {
 	execs := make([]task.Executor, c.Size())
 	switch o.Mode {
 	case Monotasks:
@@ -190,6 +202,7 @@ func Executors(c *cluster.Cluster, o Options) []task.Executor {
 		for i, w := range g.Workers {
 			execs[i] = w
 		}
+		return execs, g
 	default:
 		po := pipeexec.Options{TasksPerMachine: o.TasksPerMachine}
 		if o.Faults != nil {
@@ -206,7 +219,7 @@ func Executors(c *cluster.Cluster, o Options) []task.Executor {
 			execs[i] = w
 		}
 	}
-	return execs
+	return execs, nil
 }
 
 // Driver builds a ready driver over c in the requested mode.
@@ -233,6 +246,25 @@ func DriverWith(c *cluster.Cluster, fs *dfs.FS, execs []task.Executor, o Options
 	return d, nil
 }
 
+// ownedDriver builds a driver as Driver does, for a run that owns its
+// executors: retire, called once the run has drained, hands the monotasks
+// workers' free lists to the next run's workers (core.Group.Retire). It
+// refuses Options.Telemetry on a cluster whose timelines are stopped.
+func ownedDriver(c *cluster.Cluster, fs *dfs.FS, o Options) (d *jobsched.Driver, retire func(), err error) {
+	if o.Telemetry != nil && c.TimelinesStopped() {
+		return nil, nil, errTelemetryStopped
+	}
+	execs, g := executors(c, o)
+	if d, err = DriverWith(c, fs, execs, o); err != nil {
+		return nil, nil, err
+	}
+	retire = func() {}
+	if g != nil {
+		retire = g.Retire
+	}
+	return d, retire, nil
+}
+
 // JobsContext executes specs (submitted together, so they run concurrently)
 // and returns their metrics in submission order. The run aborts cleanly when
 // ctx is done or the virtual Options.Deadline passes, returning the partial
@@ -241,7 +273,7 @@ func DriverWith(c *cluster.Cluster, fs *dfs.FS, execs []task.Executor, o Options
 // loop, so an un-cancelled run is byte-identical to one executed without a
 // context.
 func JobsContext(ctx context.Context, c *cluster.Cluster, fs *dfs.FS, o Options, specs ...*task.JobSpec) ([]*task.JobMetrics, error) {
-	d, err := Driver(c, fs, o)
+	d, retire, err := ownedDriver(c, fs, o)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +284,9 @@ func JobsContext(ctx context.Context, c *cluster.Cluster, fs *dfs.FS, o Options,
 			return nil, err
 		}
 	}
-	return Drain(ctx, c, d, o)
+	ms, err := Drain(ctx, c, d, o)
+	retire()
+	return ms, err
 }
 
 // Submission is one job of an open-loop arrival schedule: a spec, the
@@ -283,7 +317,7 @@ func JobsAtContext(ctx context.Context, c *cluster.Cluster, fs *dfs.FS, o Option
 			return nil, fmt.Errorf("run: submission %d (%q) arrives at t=%v, before the cluster clock %v", i, s.Spec.Name, s.At, c.Engine.Now())
 		}
 	}
-	d, err := Driver(c, fs, o)
+	d, retire, err := ownedDriver(c, fs, o)
 	if err != nil {
 		return nil, err
 	}
@@ -302,6 +336,7 @@ func JobsAtContext(ctx context.Context, c *cluster.Cluster, fs *dfs.FS, o Option
 		})
 	}
 	_, aerr := Drain(ctx, c, d, o)
+	retire()
 	if submitErr != nil {
 		return nil, submitErr
 	}

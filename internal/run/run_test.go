@@ -2,6 +2,7 @@ package run
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/cluster"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/jobsched"
 	"repro/internal/pipeexec"
 	"repro/internal/task"
+	"repro/internal/telemetry"
 )
 
 func TestModeStrings(t *testing.T) {
@@ -149,5 +151,31 @@ func TestWriteThroughModeForcesWriteback(t *testing.T) {
 	}
 	if durations[SparkWriteThrough] <= durations[Spark] {
 		t.Fatalf("flush mode %v ≤ buffered mode %v", durations[SparkWriteThrough], durations[Spark])
+	}
+}
+
+// TestTelemetryRefusesStoppedTimelines: a telemetry sampler reads the
+// device timelines, so a run asked for one on a cluster whose timelines are
+// stopped fails before it starts, both with jobs submitted together and on
+// an arrival schedule. Without telemetry the same cluster runs.
+func TestTelemetryRefusesStoppedTimelines(t *testing.T) {
+	c := cluster.MustNew(2, cluster.M2_4XLarge())
+	c.StopTimelines()
+	fs, _ := dfs.New(dfs.Config{Machines: 2, DisksPerMachine: 2})
+	spec := &task.JobSpec{Name: "j", Stages: []*task.StageSpec{{ID: 0, Name: "j", NumTasks: 4, OpCPU: 1}}}
+	o := Options{Mode: Monotasks, Telemetry: &telemetry.Config{}}
+	if _, err := JobsContext(context.Background(), c, fs, o, spec); !errors.Is(err, errTelemetryStopped) {
+		t.Errorf("JobsContext with telemetry on a stopped cluster: err %v, want %v", err, errTelemetryStopped)
+	}
+	if _, err := JobsAtContext(context.Background(), c, fs, o, []Submission{{Spec: spec}}); !errors.Is(err, errTelemetryStopped) {
+		t.Errorf("JobsAtContext with telemetry on a stopped cluster: err %v, want %v", err, errTelemetryStopped)
+	}
+	o.Telemetry = nil
+	ms, err := JobsContext(context.Background(), c, fs, o, spec)
+	if err != nil || len(ms) != 1 || ms[0].Duration() <= 0 {
+		t.Fatalf("run without telemetry on a stopped cluster: %v, %v", ms, err)
+	}
+	if n := c.Machines[0].CPU.Util.Len(); n != 0 {
+		t.Errorf("stopped CPU timeline recorded %d points", n)
 	}
 }

@@ -189,6 +189,17 @@ func runSession(ctx context.Context, req *Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !req.Telemetry {
+		// The answer reads only the metric records (model.FromMetrics,
+		// model.Attribute); without a telemetry sampler nothing reads the
+		// device and queue timelines, so none are recorded.
+		c.StopTimelines()
+	}
+	return answer(ctx, req, c)
+}
+
+// answer runs req's workload on the fresh cluster c and builds the response.
+func answer(ctx context.Context, req *Request, c *cluster.Cluster) (*Response, error) {
 	env, err := workloads.NewEnv(c)
 	if err != nil {
 		return nil, err
