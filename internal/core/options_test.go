@@ -123,49 +123,3 @@ func TestMemoryAccountingPeaksAndDrains(t *testing.T) {
 		t.Fatalf("peak memory = %d, want 3e8", got)
 	}
 }
-
-func TestSmallRequestBatchingAmortizesSeeks(t *testing.T) {
-	// 32 tiny reads on one HDD with an 8 ms seek each: unbatched they pay
-	// 32 seeks; batched (8 per pass) they pay 4.
-	runReads := func(batch bool) float64 {
-		spec := testSpec(4, 1)
-		spec.Disks[0].SeekTime = 0.008
-		c, _ := cluster.New(1, spec)
-		g := NewGroup(c, Options{BatchSmallDiskRequests: batch})
-		stage := &task.StageSpec{ID: 0, Name: "tiny", NumTasks: 32, OpCPU: 0.001}
-		var last float64
-		for i := 0; i < 32; i++ {
-			g.Workers[0].Launch(&task.Task{Stage: stage, Index: i, Machine: 0, DiskReadBytes: 64 << 10},
-				func(m *task.TaskMetrics) { last = float64(m.End) })
-		}
-		c.Engine.Run()
-		return last
-	}
-	plain := runReads(false)
-	batched := runReads(true)
-	if batched >= plain {
-		t.Fatalf("batched tiny reads (%v) not faster than unbatched (%v)", batched, plain)
-	}
-	// Seek savings should dominate: 32×8ms ≈ 0.26s vs 4×8ms ≈ 0.03s.
-	if plain-batched < 0.15 {
-		t.Fatalf("batching saved only %vs; expected ≈0.22s of seeks", plain-batched)
-	}
-}
-
-func TestBatchingLeavesLargeReadsAlone(t *testing.T) {
-	spec := testSpec(2, 1)
-	spec.Disks[0].SeekTime = 0.008
-	c, _ := cluster.New(1, spec)
-	g := NewGroup(c, Options{BatchSmallDiskRequests: true})
-	stage := &task.StageSpec{ID: 0, Name: "big", NumTasks: 2, OpCPU: 0.001}
-	var ends []float64
-	for i := 0; i < 2; i++ {
-		g.Workers[0].Launch(&task.Task{Stage: stage, Index: i, Machine: 0, DiskReadBytes: 100e6},
-			func(m *task.TaskMetrics) { ends = append(ends, float64(m.End)) })
-	}
-	c.Engine.Run()
-	// Large reads stay serialized one per disk pass: second ends ≈ 2×first.
-	if len(ends) != 2 || ends[1] < 1.9 {
-		t.Fatalf("large reads were batched: ends = %v", ends)
-	}
-}

@@ -88,7 +88,7 @@ func TestRetiredListsHoldNoRunPointer(t *testing.T) {
 		}
 		for _, ops := range fl.disks {
 			for _, op := range ops {
-				errs = append(errs, cleared(op, "batch", "fn"))
+				errs = append(errs, cleared(op, "fn"))
 			}
 		}
 		for _, op := range fl.fetches {

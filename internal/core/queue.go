@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/task"
-
 // numPhases bounds the phase constants (phaseInput..phaseServe).
 const numPhases = 4
 
@@ -99,40 +97,3 @@ func (q *rrQueue) pop() *monotask {
 
 // len reports the number of queued monotasks.
 func (q *rrQueue) len() int { return q.size }
-
-// peekSame removes and returns the first queued monotask of the given kind
-// smaller than maxBytes, searching all phases, or nil when none qualifies.
-// Used by the small-request batching extension.
-func (q *rrQueue) peekSame(kind task.Kind, maxBytes int64) *monotask {
-	// take shifts the hit out of the live window in place.
-	take := func(fifo []*monotask, head int) (*monotask, bool) {
-		for i := head; i < len(fifo); i++ {
-			m := fifo[i]
-			if m.kind == kind && m.bytes < maxBytes {
-				copy(fifo[i:], fifo[i+1:])
-				fifo[len(fifo)-1] = nil
-				return m, true
-			}
-		}
-		return nil, false
-	}
-	if q.fifo {
-		m, ok := take(q.order, q.orderHead)
-		if !ok {
-			return nil
-		}
-		q.order = q.order[:len(q.order)-1]
-		q.size--
-		return m
-	}
-	for _, phase := range q.ring {
-		m, ok := take(q.byPhase[phase], q.head[phase])
-		if !ok {
-			continue
-		}
-		q.byPhase[phase] = q.byPhase[phase][:len(q.byPhase[phase])-1]
-		q.size--
-		return m
-	}
-	return nil
-}

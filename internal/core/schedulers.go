@@ -127,13 +127,12 @@ type diskScheduler struct {
 	QueueLen resource.Tracker
 }
 
-// diskOp carries one disk request — a monotask, or a batch of small reads
-// sharing a seek — through the drive. Pooled, with the batch slice's
-// capacity and the completion thunk reused across requests.
+// diskOp carries one disk monotask through the drive. Pooled, with the
+// completion thunk reused across monotasks.
 type diskOp struct {
-	ds    *diskScheduler
-	batch []*monotask
-	fn    func() // op.done, bound once per struct
+	ds *diskScheduler
+	m  *monotask
+	fn func() // op.done, bound once per struct
 }
 
 func (ds *diskScheduler) takeOp() *diskOp {
@@ -149,30 +148,24 @@ func (ds *diskScheduler) takeOp() *diskOp {
 }
 
 func (op *diskOp) done() {
-	ds := op.ds
-	ds.running--
-	end := ds.w.eng.Now()
-	ds.pump()
-	for _, bm := range op.batch {
-		metric := task.MonotaskMetric{
-			Resource: task.DiskResource,
-			Kind:     bm.kind,
-			Machine:  int32(ds.w.machine.ID),
-			Queued:   bm.queued,
-			Start:    bm.start,
-			End:      end,
-			Bytes:    bm.bytes,
-		}
-		if bm.onDone != nil {
-			bm.onDone()
-		}
-		ds.w.finish(bm, metric)
-	}
-	for i := range op.batch {
-		op.batch[i] = nil
-	}
-	op.batch = op.batch[:0]
+	ds, m := op.ds, op.m
+	op.m = nil
 	ds.ops = append(ds.ops, op)
+	ds.running--
+	metric := task.MonotaskMetric{
+		Resource: task.DiskResource,
+		Kind:     m.kind,
+		Machine:  int32(ds.w.machine.ID),
+		Queued:   m.queued,
+		Start:    m.start,
+		End:      ds.w.eng.Now(),
+		Bytes:    m.bytes,
+	}
+	ds.pump()
+	if m.onDone != nil {
+		m.onDone()
+	}
+	ds.w.finish(m, metric)
 }
 
 func newDiskScheduler(w *Worker, d *resource.Disk, ssdConcurrency int) *diskScheduler {
@@ -190,56 +183,20 @@ func (ds *diskScheduler) submit(m *monotask) {
 	ds.QueueLen.Set(ds.w.eng.Now(), float64(ds.queue.len()))
 }
 
-// smallRequestBytes is the footnote-1 threshold below which queued reads
-// are batched (when the option is on): small enough that per-request seeks
-// dominate, so servicing several per seek pays off.
-const smallRequestBytes = 4 << 20
-
-// batchLimit bounds how many small requests share one disk pass.
-const batchLimit = 8
-
 func (ds *diskScheduler) pump() {
 	for ds.running < ds.limit && ds.queue.len() > 0 {
 		m := ds.queue.pop()
-		op := ds.takeOp()
-		ds.gatherBatch(op, m)
 		ds.QueueLen.Set(ds.w.eng.Now(), float64(ds.queue.len()))
-		now := ds.w.eng.Now()
-		var total int64
-		for _, bm := range op.batch {
-			bm.start = now
-			total += bm.bytes
-		}
+		m.start = ds.w.eng.Now()
 		ds.running++
+		op := ds.takeOp()
+		op.m = m
 		switch m.kind {
 		case task.KindShuffleWrite, task.KindOutputWrite, task.KindMemSpill:
-			ds.disk.Write(total, op.fn)
+			ds.disk.Write(m.bytes, op.fn)
 		default:
-			ds.disk.Read(total, op.fn)
+			ds.disk.Read(m.bytes, op.fn)
 		}
-	}
-}
-
-// gatherBatch fills op.batch with m plus, when small-request batching is
-// enabled and m is a small read, up to batchLimit−1 further small queued
-// reads of the same kind — serviced as one request that pays one seek
-// (footnote 1: "the disk scheduler can optimize seek time by re-ordering
-// monotasks").
-func (ds *diskScheduler) gatherBatch(op *diskOp, m *monotask) {
-	op.batch = append(op.batch, m)
-	if !ds.w.opts.BatchSmallDiskRequests || m.bytes >= smallRequestBytes {
-		return
-	}
-	switch m.kind {
-	case task.KindShuffleWrite, task.KindOutputWrite, task.KindMemSpill:
-		return // reads only: writes already land where the head is
-	}
-	for len(op.batch) < batchLimit && ds.queue.len() > 0 {
-		next := ds.queue.peekSame(m.kind, smallRequestBytes)
-		if next == nil {
-			break
-		}
-		op.batch = append(op.batch, next)
 	}
 }
 

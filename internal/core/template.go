@@ -27,10 +27,11 @@ type nodeSpec struct {
 // is resolved per decomposition; everything else comes from the template.
 //
 // Templates are keyed by *StageSpec, which is immutable once a job is
-// submitted, so entries never go stale. Fault injection, machine exclusion,
-// and speculative retries re-resolve tasks — possibly onto different
-// machines — but never mutate the stage spec, so the template stays valid;
-// the dynamic input side is rebuilt from the resolved Task on every launch.
+// submitted, so entries never go stale. Retries after a failure, machine
+// exclusion, and speculative backups re-resolve tasks — possibly onto
+// different machines — but never mutate the stage spec, so the template
+// stays valid; the dynamic input side is rebuilt from the resolved Task on
+// every launch.
 type dagTemplate struct {
 	spec    *task.StageSpec
 	compute nodeSpec

@@ -35,14 +35,6 @@ type Options struct {
 	// NetworkPolicy selects the fetch-scheduling discipline; the default is
 	// the paper's receiver-limited scheduler.
 	NetworkPolicy NetworkPolicy
-	// BatchSmallDiskRequests implements the paper's footnote-1 idea: when
-	// many small disk monotasks queue on an HDD, service several together
-	// so they amortize one seek instead of paying one each.
-	BatchSmallDiskRequests bool
-	// Faults, when set, is consulted once per launched attempt; attempts it
-	// fails occupy their slot briefly and complete with TaskMetrics.Failed,
-	// exercising the driver's retry and exclusion policies (internal/faults).
-	Faults task.FaultInjector
 }
 
 func (o Options) withDefaults() Options {
@@ -149,12 +141,6 @@ func (w *Worker) Launch(t *task.Task, done func(*task.TaskMetrics)) {
 	if t.Machine != w.machine.ID {
 		panic(fmt.Sprintf("core: task for machine %d launched on %d", t.Machine, w.machine.ID))
 	}
-	if w.opts.Faults != nil {
-		if reason, after, failed := w.opts.Faults.AttemptFault(t, w.eng.Now()); failed {
-			w.failLaunch(t, reason, after, done)
-			return
-		}
-	}
 	mt := w.newMultitask()
 	mt.t = t
 	mt.worker = w
@@ -173,25 +159,6 @@ func (w *Worker) Launch(t *task.Task, done func(*task.TaskMetrics)) {
 	for _, m := range ready {
 		w.submit(m)
 	}
-}
-
-// failLaunch reports t as a failed attempt after `after` of virtual time —
-// the work wasted before the injected fault manifested. The attempt holds
-// its slot for that span but is not decomposed into monotasks: a fault that
-// kills a task also discards its resource reservations.
-func (w *Worker) failLaunch(t *task.Task, reason string, after sim.Duration, done func(*task.TaskMetrics)) {
-	tm := &task.TaskMetrics{
-		StageID:    t.Stage.ID,
-		Index:      t.Index,
-		Machine:    t.Machine,
-		Start:      w.eng.Now(),
-		Failed:     true,
-		FailReason: reason,
-	}
-	w.eng.After(after, func() {
-		tm.End = w.eng.Now()
-		done(tm)
-	})
 }
 
 // submit hands a ready monotask to its resource's scheduler.

@@ -12,10 +12,14 @@ import (
 
 // Record is one injected fault as it happened, for timelines and traces.
 type Record struct {
-	At      sim.Time
-	Kind    Kind
+	// At is the virtual time the fault took effect.
+	At sim.Time
+	// Kind is the plan event kind that caused it.
+	Kind Kind
+	// Machine is the machine it hit.
 	Machine int
-	Detail  string
+	// Detail describes what happened, for the trace line.
+	Detail string
 }
 
 // String renders the record as a one-line trace entry.
@@ -24,16 +28,17 @@ func (r Record) String() string {
 }
 
 // Injector executes a Plan against a simulated cluster and driver. It is
-// also both executors' task.FaultInjector: at attempt launch it applies any
-// active probability window with a coin flip from its seeded PRNG.
+// also the driver's jobsched.FaultInjector: before the driver launches an
+// attempt it applies any active probability window with a coin flip from
+// its seeded PRNG, so a failed attempt never reaches an executor.
 //
 // Lifecycle: NewInjector over the cluster, then hand the injector to
 // internal/run as Options.Faults. Every driver run builds installs it
 // (Install schedules the plan's events on the engine the first time and is a
-// no-op after that) and then binds it (Bind points crashes and task kills at
-// that driver). A session that builds one driver per job on one engine —
-// monospark.Context — binds each in turn, and Bind replays the current crash
-// state into the fresh driver.
+// no-op after that) and then binds it (Bind points crashes, task kills and
+// attempt faults at that driver). A session that builds one driver per job
+// on one engine — monospark.Context — binds each in turn, and Bind replays
+// the current crash state into the fresh driver.
 type Injector struct {
 	c         *cluster.Cluster
 	plan      Plan
@@ -114,12 +119,13 @@ func (in *Injector) Install() error {
 	return nil
 }
 
-// Bind points the injector at the driver scheduling the current job(s) and
-// replays the present crash state into it, since a driver built mid-chaos
-// (monospark makes one per job) must not schedule onto machines that are
-// currently down.
+// Bind points the injector at the driver scheduling the current job(s),
+// makes it the driver's fault injector, and replays the present crash state
+// into it, since a driver built mid-chaos (monospark makes one per job) must
+// not schedule onto machines that are currently down.
 func (in *Injector) Bind(d *jobsched.Driver) {
 	in.driver = d
+	d.SetFaultInjector(in)
 	for m, down := range in.crashed {
 		if down {
 			_ = d.FailMachine(m)
@@ -217,7 +223,7 @@ func touchesDisk(t *task.Task) bool {
 	return false
 }
 
-// AttemptFault implements task.FaultInjector: called by the executor at
+// AttemptFault implements jobsched.FaultInjector: called by the driver at
 // each attempt launch, it flips a seeded coin for every window active at
 // `now` on the attempt's machine that matches the attempt's I/O shape. A
 // failed attempt burns a short random span of virtual time in its slot

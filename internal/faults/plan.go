@@ -86,8 +86,11 @@ func (k Kind) String() string {
 
 // Event is one scheduled fault.
 type Event struct {
-	At      sim.Time
-	Kind    Kind
+	// At is the virtual time the fault fires (or its window opens).
+	At sim.Time
+	// Kind selects what the fault does.
+	Kind Kind
+	// Machine is the machine it targets.
 	Machine int
 	// Factor is the speed multiplier for the degradation kinds (0 < Factor).
 	Factor float64
@@ -105,7 +108,10 @@ type Event struct {
 // Plan is a reproducible fault schedule: explicit events plus the seed that
 // drives per-attempt coin flips inside probability windows.
 type Plan struct {
-	Seed   int64
+	// Seed seeds the per-attempt coin flips (not RandomPlan's draw).
+	Seed int64
+	// Events are the scheduled faults, in any order; Injector sorts them
+	// by time.
 	Events []Event
 }
 
@@ -162,13 +168,16 @@ type PlanConfig struct {
 	// Stragglers is how many whole-machine slowdowns occur (factor drawn
 	// from [0.2, 0.6), restored before the horizon ends).
 	Stragglers int
-	// DiskDegrades and NICDegrades count single-device degradations
-	// (factor in [0.1, 0.5), bounded duration).
+	// DiskDegrades counts single-disk-set degradations (factor in
+	// [0.1, 0.5), bounded duration).
 	DiskDegrades int
-	NICDegrades  int
-	// DiskErrorWindows and FlakyFetchWindows count transient-failure
-	// windows (probability in [0.2, 0.7), bounded duration).
-	DiskErrorWindows  int
+	// NICDegrades counts NIC degradations, drawn like DiskDegrades.
+	NICDegrades int
+	// DiskErrorWindows counts transient disk-error windows (probability
+	// in [0.2, 0.7), bounded duration).
+	DiskErrorWindows int
+	// FlakyFetchWindows counts flaky-fetch windows, drawn like
+	// DiskErrorWindows.
 	FlakyFetchWindows int
 	// TaskKills counts point kills of 1–3 running attempts.
 	TaskKills int

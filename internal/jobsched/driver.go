@@ -224,6 +224,7 @@ type Driver struct {
 	free    []int
 	dead    []bool
 	cfg     Config
+	faults  FaultInjector // set by SetFaultInjector; nil injects nothing
 
 	// inflight counts launch callbacks not yet fired per machine —
 	// including retired "zombie" attempts the executor is still simulating.
@@ -503,9 +504,9 @@ func (d *Driver) launch(st *stageState, pos, w int) bool {
 }
 
 // launchAttempt starts one attempt of task ti on worker w (first run,
-// failure retry, or speculative backup). A task that cannot be resolved —
-// every replica of its input block is on a failed machine — aborts the job
-// instead of launching.
+// failure retry, or speculative backup), unless the fault injector fails it
+// first. A task that cannot be resolved — every replica of its input block
+// is on a failed machine — aborts the job instead of launching.
 func (d *Driver) launchAttempt(st *stageState, ti, w int) bool {
 	t, err := d.resolve(st, ti, w)
 	if err != nil {
@@ -521,7 +522,9 @@ func (d *Driver) launchAttempt(st *stageState, ti, w int) bool {
 	}
 	d.free[w]--
 	d.inflight[w]++
-	d.execs[w].Launch(t, d.takeCompletion(st, ti, w, att).fn)
+	if done := d.takeCompletion(st, ti, w, att).fn; !d.injectFault(t, done) {
+		d.execs[w].Launch(t, done)
+	}
 	if d.cfg.FetchRetryTimeout > 0 && (len(t.Fetches) > 0 || t.RemoteRead != nil) {
 		d.armFetchTimeout(st, ti, att, w)
 	}

@@ -10,16 +10,10 @@ import (
 // Config tunes driver policies beyond the paper's defaults.
 type Config struct {
 	// Speculation launches backup copies of straggling tasks (Spark's
-	// spark.speculation): once a stage is mostly complete, a task running
-	// far beyond the median completed duration gets a second attempt on
-	// another machine, and the first finisher wins.
+	// spark.speculation): once 75% of a stage is complete, a task running
+	// longer than 1.5 times the median completed duration gets a second
+	// attempt on another machine, and the first finisher wins.
 	Speculation bool
-	// SpeculationMultiplier is how many times the median completed-task
-	// duration a task must exceed to be speculated. Default 1.5.
-	SpeculationMultiplier float64
-	// SpeculationMinFraction is the completed fraction of the stage
-	// required before any speculation. Default 0.75.
-	SpeculationMinFraction float64
 
 	// MaxTaskFailures bounds how many attempts of a single task may fail —
 	// transient executor faults, injected kills, fetch timeouts; attempts
@@ -28,18 +22,11 @@ type Config struct {
 	MaxTaskFailures int
 	// ExcludeAfterFailures is the per-machine failed-attempt count at which
 	// the machine is excluded from new task assignments (Spark's executor
-	// blacklisting / health tracker). The count resets on re-admission and
-	// on recovery. Default 3; set to -1 to disable exclusion.
+	// blacklisting / health tracker): for 30 s the first time, doubling with
+	// each consecutive exclusion up to 1,920 s. The count resets on
+	// re-admission and on recovery. Default 3; set to -1 to disable
+	// exclusion.
 	ExcludeAfterFailures int
-	// ExcludeBackoff is the first exclusion's length in virtual seconds;
-	// each consecutive exclusion of the same machine doubles the backoff,
-	// up to MaxExcludeBackoff. Default 30.
-	ExcludeBackoff sim.Duration
-	// MaxExcludeBackoff caps the exponential exclusion backoff: doubling
-	// stops at the largest value not exceeding this duration. Default 64×
-	// ExcludeBackoff. A cap below ExcludeBackoff leaves every exclusion at
-	// the base length.
-	MaxExcludeBackoff sim.Duration
 	// FetchRetryTimeout, when positive, bounds how long an attempt with
 	// remote input (shuffle fetches or a non-local block read) may run
 	// before the driver abandons it and retries the task elsewhere,
@@ -55,24 +42,26 @@ type Config struct {
 	Pools []PoolConfig
 }
 
+const (
+	// speculationMultiplier is how many times the median completed-task
+	// duration a task must exceed to be speculated.
+	speculationMultiplier = 1.5
+	// speculationMinFraction is the completed fraction of a stage required
+	// before any speculation.
+	speculationMinFraction = 0.75
+	// excludeBackoff is the first exclusion's length in virtual seconds;
+	// each consecutive exclusion of the same machine doubles it.
+	excludeBackoff sim.Duration = 30
+	// maxExcludeBackoff caps the doubling after six steps.
+	maxExcludeBackoff = 64 * excludeBackoff
+)
+
 func (c Config) withDefaults() Config {
-	if c.SpeculationMultiplier <= 0 {
-		c.SpeculationMultiplier = 1.5
-	}
-	if c.SpeculationMinFraction <= 0 {
-		c.SpeculationMinFraction = 0.75
-	}
 	if c.MaxTaskFailures <= 0 {
 		c.MaxTaskFailures = 4
 	}
 	if c.ExcludeAfterFailures == 0 {
 		c.ExcludeAfterFailures = 3
-	}
-	if c.ExcludeBackoff <= 0 {
-		c.ExcludeBackoff = 30
-	}
-	if c.MaxExcludeBackoff <= 0 {
-		c.MaxExcludeBackoff = 64 * c.ExcludeBackoff
 	}
 	return c
 }
@@ -239,10 +228,10 @@ func (d *Driver) speculableTask(st *stageState, w int, now sim.Time) (int, bool)
 		return 0, false
 	}
 	frac := float64(st.completed) / float64(st.spec.NumTasks)
-	if frac < d.cfg.SpeculationMinFraction || len(st.durations) == 0 {
+	if frac < speculationMinFraction || len(st.durations) == 0 {
 		return 0, false
 	}
-	threshold := d.cfg.SpeculationMultiplier * metrics.Percentile(st.durations, 50)
+	threshold := speculationMultiplier * metrics.Percentile(st.durations, 50)
 	bestIdx, bestAge := -1, 0.0
 	for ti := range st.attempts {
 		atts := st.attempts[ti]

@@ -143,24 +143,35 @@ func TestFailMachineValidation(t *testing.T) {
 	}
 }
 
+// stragglerDriver builds a monotasks driver over four 4-core machines, the
+// last at 20% speed.
+func stragglerDriver(t *testing.T, cfg Config) *Driver {
+	t.Helper()
+	specs := []cluster.MachineSpec{
+		testSpec(4, 1), testSpec(4, 1), testSpec(4, 1), testSpec(4, 1).Degraded(0.2),
+	}
+	c, err := cluster.NewHetero(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, _ := dfs.New(dfs.Config{Machines: 4, DisksPerMachine: 1})
+	g := core.NewGroup(c, core.Options{})
+	execs := make([]task.Executor, 4)
+	for i, w := range g.Workers {
+		execs[i] = w
+	}
+	d, err := NewWithConfig(c, fs, execs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestSpeculationRescuesStraggler(t *testing.T) {
 	// One machine at 20% speed. Without speculation the stage waits for its
 	// crawling tasks; with it, backups on fast machines win.
 	runJob := func(speculate bool) sim.Time {
-		specs := []cluster.MachineSpec{
-			testSpec(4, 1), testSpec(4, 1), testSpec(4, 1), testSpec(4, 1).Degraded(0.2),
-		}
-		c, err := cluster.NewHetero(specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, _ := dfs.New(dfs.Config{Machines: 4, DisksPerMachine: 1})
-		g := core.NewGroup(c, core.Options{})
-		execs := make([]task.Executor, 4)
-		for i, w := range g.Workers {
-			execs[i] = w
-		}
-		d, _ := NewWithConfig(c, fs, execs, Config{Speculation: speculate})
+		d := stragglerDriver(t, Config{Speculation: speculate})
 		h, _ := d.Submit(&task.JobSpec{Name: "j", Stages: []*task.StageSpec{
 			{ID: 0, Name: "cpu", NumTasks: 64, OpCPU: 2},
 		}})
@@ -182,29 +193,41 @@ func TestSpeculationDisabledByDefault(t *testing.T) {
 	if d.cfg.Speculation {
 		t.Fatal("speculation should default off")
 	}
-	if d.cfg.SpeculationMultiplier != 1.5 || d.cfg.SpeculationMinFraction != 0.75 {
-		t.Fatalf("defaults wrong: %+v", d.cfg)
-	}
 }
 
 func TestSpeculativeWinnerCountsOnce(t *testing.T) {
-	// With aggressive speculation on a uniform cluster, duplicated attempts
-	// must not double-count completions or deadlock accounting.
-	_, d := monoDriver(t, 3, Config{Speculation: true, SpeculationMultiplier: 0.1, SpeculationMinFraction: 0.1})
+	// Speculation on a cluster with a straggler launches backups; each
+	// task must still count one winning attempt, so no stage over-counts its
+	// completions and no live-attempt count is left behind.
+	d := stragglerDriver(t, Config{Speculation: true})
 	h, _ := d.Submit(&task.JobSpec{Name: "j", Stages: []*task.StageSpec{
-		{ID: 0, Name: "cpu", NumTasks: 24, OpCPU: 3},
+		{ID: 0, Name: "cpu", NumTasks: 64, OpCPU: 2, ShuffleOutBytes: 1e6},
 		{ID: 1, Name: "next", NumTasks: 6, OpCPU: 1, ParentIDs: []int{0}},
 	}})
-	// Stage 0 has no shuffle output, so add one for the child to read.
-	h.Spec.Stages[0].ShuffleOutBytes = 1e6
 	ms := d.Run()
 	if !h.Done() {
-		t.Fatal("job incomplete under aggressive speculation")
+		t.Fatal("job incomplete under speculation")
 	}
-	for i, tm := range ms[0].Stages[0].Tasks {
-		if tm == nil {
-			t.Fatalf("task %d missing metrics", i)
+	backups := 0
+	for si, st := range h.stages {
+		if st.completed != st.spec.NumTasks || len(st.durations) != st.spec.NumTasks || st.running != 0 {
+			t.Fatalf("stage %d: %d completions, %d durations and %d live attempts for %d tasks",
+				si, st.completed, len(st.durations), st.running, st.spec.NumTasks)
 		}
+		for ti, atts := range st.attempts {
+			if len(atts) >= 2 {
+				backups++
+			}
+			if ms[0].Stages[si].Tasks[ti] == nil {
+				t.Fatalf("stage %d task %d missing metrics", si, ti)
+			}
+		}
+	}
+	if backups == 0 {
+		t.Fatal("no backup attempt launched for the straggler's tasks")
+	}
+	if h.running != 0 {
+		t.Fatalf("job counts %d live attempts after finishing", h.running)
 	}
 }
 

@@ -190,7 +190,7 @@ func runPickGauntlet(t *testing.T, seed int64) pickGauntletStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := core.NewGroup(c, core.Options{Faults: &gauntletFaults{rng: rand.New(rand.NewSource(seed))}})
+	g := core.NewGroup(c, core.Options{})
 	var d *Driver
 	var stats pickGauntletStats
 	comparePicks := func(where string, needFree bool) {
@@ -247,7 +247,6 @@ func runPickGauntlet(t *testing.T, seed int64) pickGauntletStats {
 		Speculation:          true,
 		MaxTaskFailures:      40,
 		ExcludeAfterFailures: 3,
-		ExcludeBackoff:       2,
 		FetchRetryTimeout:    8,
 		Pools: []PoolConfig{
 			{Name: "fairA", Weight: 2},
@@ -258,6 +257,7 @@ func runPickGauntlet(t *testing.T, seed int64) pickGauntletStats {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.SetFaultInjector(&gauntletFaults{rng: rand.New(rand.NewSource(seed))})
 
 	pools := []string{"fairA", "fairB", "fifo"}
 	var at sim.Time

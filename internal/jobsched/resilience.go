@@ -4,14 +4,62 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/task"
 )
 
 // This file holds the driver's recovery-side policies: machines rejoining
 // after a crash, per-machine failure counting with timed exclusion
 // (Spark's executor health tracker), bounded task retry budgets, fetch
-// retry timeouts, and injected in-flight task kills. The fail-stop side
-// (FailMachine, shuffle-output invalidation, stage rollback) is in
-// failure.go.
+// retry timeouts, and injected attempt faults and in-flight task kills. The
+// fail-stop side (FailMachine, shuffle-output invalidation, stage rollback)
+// is in failure.go.
+
+// FaultInjector decides, at launch time, whether a task attempt suffers a
+// transient executor-side fault. The driver consults it once per attempt,
+// where it would hand the attempt to its executor; a failed attempt never
+// reaches the executor, but occupies its slot for `after` of virtual time —
+// the work wasted before the fault manifested — and then completes with
+// TaskMetrics.Failed and the reason.
+//
+// Implementations must be deterministic: the simulation is single-threaded,
+// so a seeded PRNG consulted in call order reproduces bit-identical fault
+// schedules (internal/faults.Injector is the canonical implementation).
+type FaultInjector interface {
+	// AttemptFault reports whether the attempt t, launching at now, fails,
+	// and if so why and how long after its launch.
+	AttemptFault(t *task.Task, now sim.Time) (reason string, after sim.Duration, failed bool)
+}
+
+// SetFaultInjector makes f decide every attempt this driver launches from
+// now on; nil stops injection.
+func (d *Driver) SetFaultInjector(f FaultInjector) { d.faults = f }
+
+// injectFault asks the fault injector about t's attempt. On a hit the
+// attempt is not launched: done fires with a failed TaskMetrics once the
+// injector's `after` has passed, and injectFault reports true.
+func (d *Driver) injectFault(t *task.Task, done func(*task.TaskMetrics)) bool {
+	if d.faults == nil {
+		return false
+	}
+	eng := d.cluster.Engine
+	reason, after, failed := d.faults.AttemptFault(t, eng.Now())
+	if !failed {
+		return false
+	}
+	tm := &task.TaskMetrics{
+		StageID:    t.Stage.ID,
+		Index:      t.Index,
+		Machine:    t.Machine,
+		Start:      eng.Now(),
+		Failed:     true,
+		FailReason: reason,
+	}
+	eng.After(after, func() {
+		tm.End = eng.Now()
+		done(tm)
+	})
+	return true
+}
 
 // RecoverMachine rejoins a machine failed with FailMachine: it becomes
 // schedulable again at the current virtual time, with a clean failure
@@ -136,8 +184,8 @@ func (d *Driver) noteMachineFailure(w int) {
 	if d.machineFailures[w] < d.cfg.ExcludeAfterFailures {
 		return
 	}
-	backoff := d.cfg.ExcludeBackoff
-	for i := 0; i < d.excludeCount[w] && backoff*2 <= d.cfg.MaxExcludeBackoff; i++ {
+	backoff := excludeBackoff
+	for i := 0; i < d.excludeCount[w] && backoff*2 <= maxExcludeBackoff; i++ {
 		backoff *= 2
 	}
 	d.excludeCount[w]++

@@ -14,66 +14,44 @@ import (
 
 func TestConfigWithDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.SpeculationMultiplier != 1.5 || c.SpeculationMinFraction != 0.75 {
-		t.Fatalf("speculation defaults wrong: %+v", c)
-	}
 	if c.MaxTaskFailures != 4 {
 		t.Fatalf("MaxTaskFailures default = %d, want 4", c.MaxTaskFailures)
 	}
 	if c.ExcludeAfterFailures != 3 {
 		t.Fatalf("ExcludeAfterFailures default = %d, want 3", c.ExcludeAfterFailures)
 	}
-	if c.ExcludeBackoff != 30 {
-		t.Fatalf("ExcludeBackoff default = %v, want 30", c.ExcludeBackoff)
-	}
 	if c.FetchRetryTimeout != 0 {
 		t.Fatalf("FetchRetryTimeout default = %v, want 0 (disabled)", c.FetchRetryTimeout)
 	}
-	if c.MaxExcludeBackoff != 64*c.ExcludeBackoff {
-		t.Fatalf("MaxExcludeBackoff default = %v, want 64× the %v base", c.MaxExcludeBackoff, c.ExcludeBackoff)
-	}
 	// Explicit values survive; -1 disables exclusion.
-	c = Config{MaxTaskFailures: 2, ExcludeAfterFailures: -1, ExcludeBackoff: 5, FetchRetryTimeout: 7, MaxExcludeBackoff: 11}.withDefaults()
-	if c.MaxTaskFailures != 2 || c.ExcludeAfterFailures != -1 || c.ExcludeBackoff != 5 || c.FetchRetryTimeout != 7 {
+	c = Config{MaxTaskFailures: 2, ExcludeAfterFailures: -1, FetchRetryTimeout: 7}.withDefaults()
+	if c.MaxTaskFailures != 2 || c.ExcludeAfterFailures != -1 || c.FetchRetryTimeout != 7 {
 		t.Fatalf("explicit values not preserved: %+v", c)
-	}
-	if c.MaxExcludeBackoff != 11 {
-		t.Fatalf("explicit MaxExcludeBackoff not preserved: %v", c.MaxExcludeBackoff)
-	}
-	// The default cap derives from an explicit base, not the default base.
-	if c := (Config{ExcludeBackoff: 5}).withDefaults(); c.MaxExcludeBackoff != 320 {
-		t.Fatalf("MaxExcludeBackoff from 5s base = %v, want 320", c.MaxExcludeBackoff)
 	}
 }
 
 // faultEveryAttempt fails every attempt launched on `machine` (or everywhere
-// when machine is -1) before `until` (sim.Forever for always).
+// when machine is -1) before `until` (sim.Forever for always), counting the
+// attempts it fails.
 type faultEveryAttempt struct {
 	machine int
 	until   sim.Time
+	hits    int
 }
 
 func (f *faultEveryAttempt) AttemptFault(tk *task.Task, now sim.Time) (string, sim.Duration, bool) {
 	if (f.machine < 0 || tk.Machine == f.machine) && now < f.until {
+		f.hits++
 		return "test-injected fault", 0.1, true
 	}
 	return "", 0, false
 }
 
-// faultyDriver is monoDriver with a fault injector installed in the workers.
-func faultyDriver(t *testing.T, n int, cfg Config, inj task.FaultInjector) (*Driver, *JobHandle) {
+// faultyDriver is monoDriver with a fault injector and one CPU-only job.
+func faultyDriver(t *testing.T, n int, cfg Config, inj FaultInjector) (*Driver, *JobHandle) {
 	t.Helper()
-	c := testCluster(t, n)
-	fs, _ := dfs.New(dfs.Config{Machines: n, DisksPerMachine: 1})
-	g := core.NewGroup(c, core.Options{Faults: inj})
-	execs := make([]task.Executor, n)
-	for i, w := range g.Workers {
-		execs[i] = w
-	}
-	d, err := NewWithConfig(c, fs, execs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, d := monoDriver(t, n, cfg)
+	d.SetFaultInjector(inj)
 	h, err := d.Submit(&task.JobSpec{Name: "j", Stages: []*task.StageSpec{
 		{ID: 0, Name: "cpu", NumTasks: 48, OpCPU: 2},
 	}})
@@ -81,6 +59,50 @@ func faultyDriver(t *testing.T, n int, cfg Config, inj task.FaultInjector) (*Dri
 		t.Fatal(err)
 	}
 	return d, h
+}
+
+// TestFaultedAttemptsNeverReachExecutors: the driver decides injected
+// faults itself, so an attempt the injector fails is never handed to an
+// executor, and every attempt it passes is.
+func TestFaultedAttemptsNeverReachExecutors(t *testing.T) {
+	inj := &faultEveryAttempt{machine: 0, until: 1}
+	c := testCluster(t, 2)
+	fs, _ := dfs.New(dfs.Config{Machines: 2, DisksPerMachine: 1})
+	g := core.NewGroup(c, core.Options{})
+	reached := 0
+	execs := make([]task.Executor, 2)
+	for i, w := range g.Workers {
+		execs[i] = &gauntletExec{Executor: w, onLaunch: func(tk *task.Task) {
+			reached++
+			if tk.Machine == inj.machine && c.Engine.Now() < inj.until {
+				t.Errorf("a faulted attempt of task %d reached machine %d's executor at t=%v", tk.Index, tk.Machine, c.Engine.Now())
+			}
+		}}
+	}
+	d, err := NewWithConfig(c, fs, execs, Config{MaxTaskFailures: 50, ExcludeAfterFailures: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetFaultInjector(inj)
+	h, err := d.Submit(&task.JobSpec{Name: "j", Stages: []*task.StageSpec{
+		{ID: 0, Name: "cpu", NumTasks: 48, OpCPU: 2},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	attempts := 0
+	for _, atts := range h.stages[0].attempts {
+		attempts += len(atts)
+	}
+	if inj.hits == 0 {
+		t.Fatal("the injector failed no attempt")
+	}
+	if reached != attempts-inj.hits {
+		t.Fatalf("%d attempts reached an executor, want %d launched less %d faulted", reached, attempts, inj.hits)
+	}
 }
 
 func TestTaskRetryBudgetAbortsJob(t *testing.T) {
@@ -121,35 +143,28 @@ func TestTransientFaultsRetryToCompletion(t *testing.T) {
 }
 
 func TestExclusionBlocksSchedulingUntilBackoffExpires(t *testing.T) {
-	// Machine 0 fails every attempt before t=2. After 2 failures it is
-	// excluded for 5 s; after readmission (t >= exclusion start + 5, and the
-	// fault window over) it must receive and complete tasks again.
-	inj := &faultEveryAttempt{machine: 0, until: 2}
-	c := testCluster(t, 3)
-	fs, _ := dfs.New(dfs.Config{Machines: 3, DisksPerMachine: 1})
-	g := core.NewGroup(c, core.Options{Faults: inj})
-	execs := make([]task.Executor, 3)
-	for i, w := range g.Workers {
-		execs[i] = w
-	}
-	d, err := NewWithConfig(c, fs, execs, Config{ExcludeAfterFailures: 2, ExcludeBackoff: 5, MaxTaskFailures: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Machine 0 fails every attempt before t=2. Its second failure, at
+	// t=0.1, excludes it for excludeBackoff (30 s); once readmitted, with the
+	// fault window long over, it must receive and complete tasks again.
+	c, d := monoDriver(t, 3, Config{ExcludeAfterFailures: 2, MaxTaskFailures: 20})
+	d.SetFaultInjector(&faultEveryAttempt{machine: 0, until: 2})
 	h, err := d.Submit(&task.JobSpec{Name: "j", Stages: []*task.StageSpec{
-		{ID: 0, Name: "cpu", NumTasks: 64, OpCPU: 2},
+		{ID: 0, Name: "cpu", NumTasks: 160, OpCPU: 2},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Probe while the engine runs: excluded soon after the failures, and no
-	// longer excluded after the backoff expires.
-	c.Engine.At(1, func() {
-		if !d.Excluded(0) {
-			t.Error("machine 0 not excluded after repeated failures")
-		}
-	})
-	c.Engine.At(6.5, func() {
+	// Probe while the engine runs: excluded soon after the failures and
+	// still near the end of the backoff, no longer excluded after it.
+	const until = 0.1 + excludeBackoff
+	for _, at := range []sim.Time{1, until - 0.5} {
+		c.Engine.At(at, func() {
+			if !d.Excluded(0) {
+				t.Errorf("machine 0 not excluded at t=%v, within its %vs backoff", at, excludeBackoff)
+			}
+		})
+	}
+	c.Engine.At(until+0.5, func() {
 		if d.Excluded(0) {
 			t.Error("machine 0 still excluded after backoff expiry")
 		}
@@ -167,10 +182,10 @@ func TestExclusionBlocksSchedulingUntilBackoffExpires(t *testing.T) {
 		if tm.Machine != 0 {
 			continue
 		}
-		if tm.Start > 0.2 && tm.Start < 5 {
+		if tm.Start > 0.2 && tm.Start < until {
 			t.Fatalf("task %d started on excluded machine 0 at %v", i, tm.Start)
 		}
-		if tm.Start >= 5 {
+		if tm.Start >= until {
 			backToWork = true
 		}
 	}
@@ -381,7 +396,7 @@ func TestReopenStageDoesNotInflateSlots(t *testing.T) {
 }
 
 func TestSpeculableTaskEdgeCases(t *testing.T) {
-	c, d := monoDriver(t, 2, Config{Speculation: true, SpeculationMultiplier: 1.5, SpeculationMinFraction: 0.5})
+	c, d := monoDriver(t, 2, Config{Speculation: true})
 	now := c.Engine.Now() + 100
 	spec := &task.StageSpec{ID: 0, Name: "s", NumTasks: 4}
 	base := func() *stageState {
@@ -482,7 +497,7 @@ func metricsFingerprint(hs []*JobHandle) uint64 {
 func TestResilienceGauntletReplays(t *testing.T) {
 	arrivals := []sim.Time{0, 3, 7, 12, 20}
 	run := func(timeout sim.Duration) []*JobHandle {
-		c, d := monoDriver(t, 4, Config{FetchRetryTimeout: timeout, MaxTaskFailures: 50, ExcludeAfterFailures: 3, ExcludeBackoff: 5})
+		c, d := monoDriver(t, 4, Config{FetchRetryTimeout: timeout, MaxTaskFailures: 50, ExcludeAfterFailures: 3})
 		hs := make([]*JobHandle, len(arrivals))
 		for i, at := range arrivals {
 			i := i
@@ -522,10 +537,10 @@ func TestRecoverMachineResetsExclusionBackoff(t *testing.T) {
 	// Regression: RecoverMachine used to keep excludeCount/excludeUntil, so
 	// a crashed-and-repaired machine inherited pre-crash exponential backoff
 	// escalation. A recovered machine's first re-exclusion must use the base
-	// ExcludeBackoff again.
+	// excludeBackoff again.
 	c := testCluster(t, 2)
 	d, _ := fakeDriver(t, c, 1, 1)
-	base := d.cfg.ExcludeBackoff
+	base := excludeBackoff
 	exclude := func() {
 		for i := 0; i < d.cfg.ExcludeAfterFailures; i++ {
 			d.noteMachineFailure(1)
@@ -559,30 +574,20 @@ func TestRecoverMachineResetsExclusionBackoff(t *testing.T) {
 }
 
 func TestMaxExcludeBackoffCapsDoubling(t *testing.T) {
-	// The doubling cap is Config.MaxExcludeBackoff (it was a hidden i < 6
-	// constant): growth stops at the largest doubled value not exceeding
-	// the cap, and a cap below the base leaves the base untouched.
+	// Consecutive exclusions of one machine last 30 s, then double, and stop
+	// doubling at maxExcludeBackoff: six doublings, 1,920 s.
 	c := testCluster(t, 2)
 	d, _ := fakeDriver(t, c, 1, 1)
-	d.cfg.ExcludeBackoff = 30
-	d.cfg.MaxExcludeBackoff = 100
-	d.excludeCount[1] = 5 // deep escalation history
-	d.machineFailures[1] = d.cfg.ExcludeAfterFailures
-	d.noteMachineFailure(1)
-	if got := d.excludeUntil[1] - c.Engine.Now(); got != 60 {
-		t.Fatalf("capped backoff = %v, want 60 (30 doubled once; 120 would exceed the 100 cap)", got)
-	}
-	d.excluded[1] = false
-	d.cfg.MaxExcludeBackoff = 10 // below base: base wins
-	d.machineFailures[1] = d.cfg.ExcludeAfterFailures
-	d.noteMachineFailure(1)
-	if got := d.excludeUntil[1] - c.Engine.Now(); got != 30 {
-		t.Fatalf("sub-base cap gave backoff %v, want the 30 base", got)
-	}
-	// The default cap (64× base) reproduces the legacy six-doublings limit.
-	cfg := Config{ExcludeBackoff: 30}.withDefaults()
-	if cfg.MaxExcludeBackoff != 1920 {
-		t.Fatalf("default MaxExcludeBackoff = %v, want 64×30 = 1920", cfg.MaxExcludeBackoff)
+	for i, want := range []sim.Duration{30, 60, 120, 240, 480, 960, 1920, 1920, 1920} {
+		d.machineFailures[1] = d.cfg.ExcludeAfterFailures - 1
+		d.noteMachineFailure(1)
+		if !d.excluded[1] {
+			t.Fatalf("exclusion %d did not exclude the machine", i+1)
+		}
+		if got := d.excludeUntil[1] - c.Engine.Now(); got != want {
+			t.Fatalf("exclusion %d lasts %v, want %v", i+1, got, want)
+		}
+		d.excluded[1] = false // as readmitMachine would
 	}
 }
 

@@ -22,10 +22,6 @@ type Options struct {
 	// FlushDelay is the age at which dirty data is written back regardless
 	// of pressure. Default 30 s (vm.dirty_expire_centisecs).
 	FlushDelay sim.Duration
-	// Faults, when set, is consulted once per launched attempt; attempts it
-	// fails occupy their slot briefly and complete with TaskMetrics.Failed,
-	// exercising the driver's retry and exclusion policies (internal/faults).
-	Faults task.FaultInjector
 }
 
 const (
@@ -139,23 +135,6 @@ func (w *Worker) Launch(t *task.Task, done func(*task.TaskMetrics)) {
 	if t.Machine != w.machine.ID {
 		panic(fmt.Sprintf("pipeexec: task for machine %d launched on %d", t.Machine, w.machine.ID))
 	}
-	if w.opts.Faults != nil {
-		if reason, after, failed := w.opts.Faults.AttemptFault(t, w.eng.Now()); failed {
-			tm := &task.TaskMetrics{
-				StageID:    t.Stage.ID,
-				Index:      t.Index,
-				Machine:    t.Machine,
-				Start:      w.eng.Now(),
-				Failed:     true,
-				FailReason: reason,
-			}
-			w.eng.After(after, func() {
-				tm.End = w.eng.Now()
-				done(tm)
-			})
-			return
-		}
-	}
 	rt := w.newRunningTask()
 	rt.t = t
 	rt.metrics = task.NewTaskMetrics(t.Stage.ID, t.Index, t.Machine, w.eng.Now(), 0)
@@ -205,6 +184,7 @@ func (w *Worker) DirtyBytes() int64 {
 
 // Group wires one pipelined Worker per cluster machine.
 type Group struct {
+	// Workers holds one worker per machine, indexed by machine ID.
 	Workers []*Worker
 }
 

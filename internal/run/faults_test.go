@@ -139,3 +139,49 @@ func TestFaultPlanInEnginePastIsAnError(t *testing.T) {
 		t.Fatalf("plan fired %d records over two drivers, want 4 (slowdown, restore, kill, crash) once each: %v", n, o.Faults.Log())
 	}
 }
+
+// TestDriverDecidesAttemptFaults: executors built without the injector still
+// see its probability windows, because the driver DriverWith binds decides
+// every attempt before handing it to an executor. A probability-1
+// disk-error window on machine 0 fails every attempt there that writes its
+// map output to disk, in both executor modes.
+func TestDriverDecidesAttemptFaults(t *testing.T) {
+	for _, m := range []Mode{Monotasks, Spark} {
+		c, fs := faultCluster(t)
+		inj, err := faults.NewInjector(c, faults.Plan{Seed: 1, Events: []faults.Event{
+			{Kind: faults.DiskErrorWindow, Machine: 0, Prob: 1},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := DriverWith(c, fs, Executors(c, Options{Mode: m}), Options{Faults: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := d.Submit(cancelSpec("windowed", 24))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Wait(); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		failed := 0
+		for _, r := range inj.Log() {
+			if r.Kind != faults.DiskErrorWindow || !strings.HasPrefix(r.Detail, "failed attempt") {
+				continue
+			}
+			if r.Machine != 0 {
+				t.Fatalf("%v: an attempt failed on machine %d, outside the window: %v", m, r.Machine, r)
+			}
+			failed++
+		}
+		if failed == 0 {
+			t.Fatalf("%v: no attempt on machine 0 failed in its disk-error window; log: %v", m, inj.Log())
+		}
+		for _, tm := range h.Metrics.Stages[0].Tasks {
+			if tm.Machine == 0 {
+				t.Fatalf("%v: map task %d succeeded on machine 0 inside a probability-1 disk-error window", m, tm.Index)
+			}
+		}
+	}
+}

@@ -61,8 +61,9 @@ type Options struct {
 	// Faults, when set, is the run's fault injector. Every driver this
 	// package builds installs its plan on the cluster engine (once; later
 	// drivers on the same engine reuse it) and binds the driver, so the
-	// plan's crashes, slowdowns and task kills fire; the executors the mode
-	// selects consult it for probability windows at each attempt launch.
+	// plan's crashes, slowdowns and task kills fire and the driver decides
+	// each attempt against its probability windows before launching it.
+	// Executors never see the injector: Executors ignores this field.
 	Faults *faults.Injector
 	// Sched configures the driver: its resilience and speculation policies
 	// and its scheduling pools.
@@ -194,20 +195,13 @@ func executors(c *cluster.Cluster, o Options) ([]task.Executor, *core.Group) {
 	execs := make([]task.Executor, c.Size())
 	switch o.Mode {
 	case Monotasks:
-		mo := o.Mono
-		if o.Faults != nil {
-			mo.Faults = o.Faults
-		}
-		g := core.NewGroup(c, mo)
+		g := core.NewGroup(c, o.Mono)
 		for i, w := range g.Workers {
 			execs[i] = w
 		}
 		return execs, g
 	default:
 		po := pipeexec.Options{TasksPerMachine: o.TasksPerMachine}
-		if o.Faults != nil {
-			po.Faults = o.Faults
-		}
 		if o.Mode == SparkWriteThrough {
 			// Force prompt writeback: a tiny dirty budget throttles writers
 			// to the flusher's pace without serializing each chunk.
@@ -230,8 +224,10 @@ func Driver(c *cluster.Cluster, fs *dfs.FS, o Options) (*jobsched.Driver, error)
 // DriverWith builds a driver configured by o.Sched over pre-built executors
 // (callers that keep executor handles for inspection, or that run several
 // drivers over one set of executors). It installs o.Faults on the engine
-// and binds it to the new driver; an injector whose plan has an event
-// before the engine clock is an error.
+// and binds it to the new driver, which from then on decides every attempt
+// it launches against the plan's probability windows, whatever executors it
+// was given; an injector whose plan has an event before the engine clock is
+// an error.
 func DriverWith(c *cluster.Cluster, fs *dfs.FS, execs []task.Executor, o Options) (*jobsched.Driver, error) {
 	d, err := jobsched.NewWithConfig(c, fs, execs, o.Sched)
 	if err != nil {

@@ -1,7 +1,5 @@
 package task
 
-import "repro/internal/sim"
-
 // Executor is one worker machine's task runtime. The monotasks executor
 // (internal/core) and the pipelined Spark-style executor (internal/pipeexec)
 // both implement it; the driver (internal/jobsched) is executor-agnostic —
@@ -13,19 +11,6 @@ type Executor interface {
 	// assigned to this worker at once.
 	MaxConcurrentTasks() int
 	// Launch begins executing t; done fires on the simulation engine when
-	// the task completes (possibly with TaskMetrics.Failed set).
+	// the task completes.
 	Launch(t *Task, done func(*TaskMetrics))
-}
-
-// FaultInjector decides, at launch time, whether a task attempt suffers a
-// transient executor-side fault. Both executors consult it (when installed
-// via their Options) once per launched attempt; a failed attempt occupies
-// its slot for `after` of virtual time — the work wasted before the fault
-// manifested — and then completes with TaskMetrics.Failed and the reason.
-//
-// Implementations must be deterministic: the simulation is single-threaded,
-// so a seeded PRNG consulted in call order reproduces bit-identical fault
-// schedules (internal/faults.Injector is the canonical implementation).
-type FaultInjector interface {
-	AttemptFault(t *Task, now sim.Time) (reason string, after sim.Duration, failed bool)
 }

@@ -283,11 +283,10 @@ func (m *MonotaskMetric) Duration() sim.Duration { return m.End - m.Start }
 // QueueDelay is the time spent waiting for the resource.
 func (m *MonotaskMetric) QueueDelay() sim.Duration { return m.Start - m.Queued }
 
-// TaskMetrics records one multitask's execution — or its failure: a
-// transient executor-side fault (injected disk I/O error, flaky shuffle
-// fetch, killed process) reports Failed with a reason, and the driver
-// charges the attempt against the task's retry budget and the machine's
-// exclusion counter.
+// TaskMetrics records one multitask's execution — or its failure: an
+// attempt that an injected transient fault (disk I/O error, flaky shuffle
+// fetch) fails is reported with Failed and a reason, and the driver charges
+// it against the task's retry budget and the machine's exclusion counter.
 type TaskMetrics struct {
 	StageID   int
 	Index     int

@@ -12,18 +12,15 @@ import (
 // server is shedding load and the caller should come back after RetryAfter.
 var ErrOverloaded = errors.New("whatifsvc: overloaded, try again later")
 
-// admitter is the weighted fair-share admission gate. It owns a fixed pool
-// of simulation slots; requests over the limit wait in bounded per-tenant
-// FIFO queues, and freed slots go to the waiting tenant with the smallest
-// served/weight deficit — the same ordering the job scheduler's pools use
-// for executor slots (internal/jobsched), applied one level up. A full
-// tenant queue sheds immediately with ErrOverloaded rather than building an
-// unbounded backlog.
+// admitter is the fair-share admission gate. It owns a fixed pool of
+// simulation slots; requests over the limit wait in bounded per-tenant FIFO
+// queues, and freed slots go to the waiting tenant admitted least often so
+// far. A full tenant queue sheds immediately with ErrOverloaded rather than
+// building an unbounded backlog.
 type admitter struct {
 	mu            sync.Mutex
 	maxConcurrent int
 	queueDepth    int // per tenant
-	weights       map[string]float64
 
 	running int
 	tenants map[string]*tenantQueue
@@ -39,22 +36,14 @@ type admitter struct {
 
 type tenantQueue struct {
 	name   string
-	weight float64
-	served float64 // admissions, deficit-weighted
+	served int // admissions so far
 	q      []chan struct{}
 }
 
-func newAdmitter(maxConcurrent, queueDepth int, weights map[string]float64) *admitter {
-	if maxConcurrent <= 0 {
-		maxConcurrent = 4
-	}
-	if queueDepth <= 0 {
-		queueDepth = 8
-	}
+func newAdmitter(maxConcurrent, queueDepth int) *admitter {
 	return &admitter{
 		maxConcurrent: maxConcurrent,
 		queueDepth:    queueDepth,
-		weights:       weights,
 		tenants:       make(map[string]*tenantQueue),
 	}
 }
@@ -62,11 +51,7 @@ func newAdmitter(maxConcurrent, queueDepth int, weights map[string]float64) *adm
 func (a *admitter) tenant(name string) *tenantQueue {
 	t, ok := a.tenants[name]
 	if !ok {
-		w := a.weights[name]
-		if w <= 0 {
-			w = 1
-		}
-		t = &tenantQueue{name: name, weight: w}
+		t = &tenantQueue{name: name}
 		a.tenants[name] = t
 	}
 	return t
@@ -81,7 +66,7 @@ func (a *admitter) Acquire(ctx context.Context, tenant string) (func(), error) {
 	t := a.tenant(tenant)
 	if a.running < a.maxConcurrent && a.waiting == 0 {
 		a.running++
-		t.served += 1 / t.weight
+		t.served++
 		a.recordLatency(0)
 		a.mu.Unlock()
 		return a.releaseFunc(), nil
@@ -138,9 +123,8 @@ func (a *admitter) releaseFunc() func() {
 	}
 }
 
-// releaseLocked frees one slot and hands it to the most-starved waiting
-// tenant (smallest served/weight deficit; ties break by name for
-// determinism).
+// releaseLocked frees one slot and hands it to the waiting tenant with the
+// fewest admissions (ties break by name for determinism).
 func (a *admitter) releaseLocked() {
 	a.running--
 	var next *tenantQueue
@@ -159,7 +143,7 @@ func (a *admitter) releaseLocked() {
 	next.q = next.q[1:]
 	a.waiting--
 	a.running++
-	next.served += 1 / next.weight
+	next.served++
 	close(ch)
 }
 

@@ -3,7 +3,7 @@
 // and what would change if the disks were twice as fast?") by running the
 // monotask simulator and the §6 performance model on a per-request virtual
 // cluster. The package is engineered robustness-first: strict bounded request
-// decoding, weighted fair-share admission with backpressure, per-request
+// decoding, fair-share admission with backpressure, per-request
 // deadlines riding the engine's cooperative-cancellation check, panic
 // isolation per session, and whole-run memoization keyed by a structural
 // fingerprint of the question.

@@ -20,15 +20,10 @@ type Config struct {
 	QueueDepth int
 	// MaxDeadline is the ceiling on per-request wall budgets (default 30s).
 	// Requests asking for more are clamped; requests asking for nothing get
-	// DefaultDeadline.
+	// MaxDeadline.
 	MaxDeadline time.Duration
-	// DefaultDeadline applies when a request names no budget (default
-	// MaxDeadline).
-	DefaultDeadline time.Duration
 	// MemoEntries bounds the response memo (default 256).
 	MemoEntries int
-	// TenantWeights sets fair-share weights by tenant name (default 1 each).
-	TenantWeights map[string]float64
 	// Chaos admits the deliberately panicking ChaosKind workload — test and
 	// staging only.
 	Chaos bool
@@ -43,9 +38,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = 30 * time.Second
-	}
-	if c.DefaultDeadline <= 0 || c.DefaultDeadline > c.MaxDeadline {
-		c.DefaultDeadline = c.MaxDeadline
 	}
 	if c.MemoEntries <= 0 {
 		c.MemoEntries = 256
@@ -71,7 +63,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	return &Service{
 		cfg:  cfg,
-		adm:  newAdmitter(cfg.MaxConcurrent, cfg.QueueDepth, cfg.TenantWeights),
+		adm:  newAdmitter(cfg.MaxConcurrent, cfg.QueueDepth),
 		memo: newMemo(cfg.MemoEntries),
 	}
 }
@@ -182,12 +174,9 @@ func (s *Service) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	budget := s.cfg.DefaultDeadline
+	budget := s.cfg.MaxDeadline
 	if req.DeadlineMillis > 0 {
-		budget = time.Duration(req.DeadlineMillis) * time.Millisecond
-		if budget > s.cfg.MaxDeadline {
-			budget = s.cfg.MaxDeadline
-		}
+		budget = min(time.Duration(req.DeadlineMillis)*time.Millisecond, budget)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()

@@ -262,31 +262,30 @@ func TestServiceRoutes(t *testing.T) {
 }
 
 func TestAdmitterFairShare(t *testing.T) {
-	a := newAdmitter(1, 8, map[string]float64{"heavy": 3, "light": 1})
+	a := newAdmitter(1, 8)
 	// Fill the only slot.
-	release, err := a.Acquire(context.Background(), "heavy")
+	release, err := a.Acquire(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Queue waiters: light first, then heavy; the deficit rule must still
-	// favour heavy 3:1 over the long run. Serve 8 queued admissions and
-	// count.
-	type got struct{ tenant string }
-	results := make(chan got, 16)
+	// Queue six waiters per tenant. Each freed slot goes to the waiting
+	// tenant with the fewest admissions, ties to the first name: b (none
+	// yet), then a and b in turn.
+	results := make(chan string, 16)
 	acquire := func(tenant string) {
 		go func() {
 			r, err := a.Acquire(context.Background(), tenant)
 			if err != nil {
 				return
 			}
-			results <- got{tenant}
+			results <- tenant
 			time.Sleep(time.Millisecond)
 			r()
 		}()
 	}
 	for i := 0; i < 6; i++ {
-		acquire("heavy")
-		acquire("light")
+		acquire("a")
+		acquire("b")
 	}
 	for {
 		time.Sleep(5 * time.Millisecond)
@@ -298,22 +297,22 @@ func TestAdmitterFairShare(t *testing.T) {
 		}
 	}
 	release()
-	counts := map[string]int{}
+	var order []string
 	for i := 0; i < 12; i++ {
 		select {
 		case g := <-results:
-			counts[g.tenant]++
+			order = append(order, g)
 		case <-time.After(5 * time.Second):
-			t.Fatalf("admissions stalled after %d, counts=%v", i, counts)
+			t.Fatalf("admissions stalled after %v", order)
 		}
 	}
-	if counts["heavy"] != 6 || counts["light"] != 6 {
-		t.Fatalf("all waiters must eventually be served, got %v", counts)
+	if got, want := strings.Join(order, " "), strings.TrimSpace(strings.Repeat("b a ", 6)); got != want {
+		t.Fatalf("admission order %q, want equal shares in turn %q", got, want)
 	}
 }
 
 func TestAdmitterShedsWhenQueueFull(t *testing.T) {
-	a := newAdmitter(1, 2, nil)
+	a := newAdmitter(1, 2)
 	release, err := a.Acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +355,7 @@ func TestAdmitterShedsWhenQueueFull(t *testing.T) {
 }
 
 func TestAdmitterAcquireCancelledWhileQueued(t *testing.T) {
-	a := newAdmitter(1, 4, nil)
+	a := newAdmitter(1, 4)
 	release, err := a.Acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
